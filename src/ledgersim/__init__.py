@@ -37,7 +37,6 @@ from .strategy import (
     AgentSpec,
     AgentStack,
     StrategyKind,
-    StrategySpec,
     converted_credits,
     utility,
     utility_breakdown,
@@ -68,7 +67,6 @@ __all__ = [
     "SimConfig",
     "Simulator",
     "StrategyKind",
-    "StrategySpec",
     "Thresholds",
     "Transaction",
     "TxId",

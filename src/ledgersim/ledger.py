@@ -12,6 +12,7 @@ dependency, is marked bad: the fee is still charged, the value never moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .transaction import AgentId, Money, Transaction, TxId
 
@@ -96,10 +97,16 @@ class LedgerState:
 
     # -- execution ----------------------------------------------------------
 
-    def on_rrb_deliver(self, tx: Transaction) -> list[ExecutionReport]:
-        """Buffer a delivered transaction and drain whatever became executable."""
+    def on_rrb_deliver(
+        self, tx: Transaction, on_execute: Callable[[ExecutionReport], None] | None = None
+    ) -> list[ExecutionReport]:
+        """Buffer a delivered transaction and drain whatever became executable.
+
+        on_execute, when given, sees each report right after its execution,
+        while the ledger still shows that execution and none after it.
+        """
         self.exec_buffer[tx.id] = tx
-        return self.try_execute()
+        return self.try_execute(on_execute)
 
     def conditions_met(self, tx: Transaction) -> bool:
         if self.S[tx.initiator] != tx.seq - 1:
@@ -150,7 +157,9 @@ class LedgerState:
         self.B[tx.initiator] -= tx.value
         self.Q[tx.recipient].add(tx.id)
 
-    def try_execute(self) -> list[ExecutionReport]:
+    def try_execute(
+        self, on_execute: Callable[[ExecutionReport], None] | None = None
+    ) -> list[ExecutionReport]:
         """Execute buffered transactions to a fixpoint, ascending (initiator, seq)."""
         reports: list[ExecutionReport] = []
         progress = True
@@ -159,7 +168,10 @@ class LedgerState:
             for txid in sorted(self.exec_buffer):
                 tx = self.exec_buffer[txid]
                 if self.conditions_met(tx):
-                    reports.append(self.execute(tx))
+                    report = self.execute(tx)
+                    reports.append(report)
+                    if on_execute is not None:
+                        on_execute(report)
                     progress = True
         return reports
 

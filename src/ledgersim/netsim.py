@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .broadcast import BroadcastMessage, MessageKind, Thresholds
-from .strategy import AgentSpec, AgentStack, StrategyKind
+from .strategy import AgentSpec, AgentStack
 from .trace import TraceRecorder
 from .transaction import AgentId, Money
 
@@ -37,8 +37,6 @@ class ScriptAction:
 
 @dataclass(frozen=True)
 class ScheduledMessage:
-    deliver_at: int
-    send_seq: int
     frm: AgentId
     to: AgentId
     msg: BroadcastMessage
@@ -181,16 +179,14 @@ class Simulator:
                     seq=msg.seq,
                     digest=msg.payload.digest_hex,
                 )
-                self.agents[frm].messages_sent += 1
                 deliver_at = self.now + self._delay(frm, to, msg)
                 if self.config.fifo_channels:
                     floor = self._fifo_floor.get((frm, to), 0)
                     deliver_at = max(deliver_at, floor)
                     self._fifo_floor[(frm, to)] = deliver_at
-            seq = next(self._seq)
             heapq.heappush(
                 self._heap,
-                (deliver_at, seq, ScheduledMessage(deliver_at, seq, frm, to, msg)),
+                (deliver_at, next(self._seq), ScheduledMessage(frm, to, msg)),
             )
 
     def _delay(self, frm: AgentId, to: AgentId, msg: BroadcastMessage) -> int:
@@ -204,7 +200,3 @@ class Simulator:
 def run(config: SimConfig) -> RunResult:
     """Run one scenario to quiescence (or max_steps) and return its trace."""
     return Simulator(config).run()
-
-
-def compliant_ids(config: SimConfig) -> list[AgentId]:
-    return sorted(s.id for s in config.agents if s.kind is StrategyKind.COMPLIANT)

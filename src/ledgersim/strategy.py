@@ -35,12 +35,6 @@ class StrategyKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class StrategySpec:
-    kind: StrategyKind
-    params: Mapping = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class AgentSpec:
     id: AgentId
     kind: StrategyKind
@@ -64,7 +58,6 @@ class AgentStack:
         }
         self.behavior = _BEHAVIORS[spec.kind](spec.params)
         self.pending: deque[dict] = deque()
-        self.messages_sent = 0
 
     def on_action(self, action: dict) -> list[tuple[AgentId, BroadcastMessage]]:
         return self.behavior.on_action(self, action)
@@ -199,8 +192,9 @@ class CompliantBehavior:
                 )
                 continue
             if self.executes(stack, tx):
-                for report in stack.ledger.on_rrb_deliver(tx):
-                    stack.record_execution(report)
+                # one delivery can execute several buffered transactions;
+                # each SNAPSHOT must show the ledger right after its own
+                stack.ledger.on_rrb_deliver(tx, stack.record_execution)
         if outcome.delivered:
             outputs.extend(stack.issue_pending(self))
         return self.filter_outbound(stack, outputs)

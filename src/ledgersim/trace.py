@@ -22,21 +22,8 @@ from typing import IO, Iterable
 
 from .transaction import Transaction, TxId
 
-KINDS = (
-    "CONFIG",
-    "SEND",
-    "RECV",
-    "RRB_DELIVER",
-    "EXECUTE",
-    "COMMIT",
-    "FEE_CREDIT",
-    "FEE_CONVERT",
-    "RETAL_BLOCK",
-    "RETAL_UNBLOCK",
-    "SNAPSHOT",
-    "BYZ_EVIDENCE",
-    "END",
-)
+# json.dumps with non-default arguments builds a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def txid_field(txid: TxId | tuple) -> list[int]:
@@ -71,7 +58,7 @@ class TraceRecorder:
 
 
 def dump_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def write_trace(records: Iterable[dict], fp: IO[str]) -> None:

@@ -12,12 +12,14 @@ from ledgersim.checker import (
     chain_height,
     check_agreement,
     check_conservation,
+    check_dependency_closure,
     check_no_debt,
     check_rrb_uniqueness,
     check_source_order,
     check_validity,
     dependency_closure,
 )
+from ledgersim.trace import tx_fields, txid_field
 from ledgersim.transaction import Transaction, TxId
 
 
@@ -207,3 +209,128 @@ def test_checks_are_pure_functions_of_the_records():
     before = copy.deepcopy(records)
     L.run_all_checks(records)
     assert records == before
+
+
+# -- mutations: one corrupted field per case, and the matching check FAILs ---------
+
+
+def find(records, kind, agent, txid=None):
+    """Index of the first `kind` record of `agent` (for `txid`, if given)."""
+    for k, r in enumerate(records):
+        if r["kind"] == kind and r["agent"] == agent and (txid is None or r["txid"] == txid):
+            return k
+    raise AssertionError("fixture found nothing to corrupt")
+
+
+def skim_balance(records):
+    snap = records[find(records, "SNAPSHOT", 3)]
+    snap["B"][2] -= 1
+
+
+def flip_verdict(records):
+    records[find(records, "EXECUTE", 4, [3, 1])]["verdict"] = "bad"
+
+
+def change_digest(records):
+    records[find(records, "RRB_DELIVER", 3)]["digest"] = "f" * 16
+
+
+def swap_dependent_executions(records):
+    # agent 3's (2, 1) lists (1, 1) among its deps
+    a = find(records, "EXECUTE", 3, [1, 1])
+    b = find(records, "EXECUTE", 3, [2, 1])
+    assert records[b]["tx"]["deps"] == [[1, 1]]
+    records[a], records[b] = records[b], records[a]
+
+
+def reference_unexecuted(records):
+    # nobody ever executes (4, 1): agent 4 makes no payment
+    records[find(records, "EXECUTE", 2, [3, 1])]["tx"]["deps"].append([4, 1])
+
+
+def reference_itself(records):
+    records[find(records, "EXECUTE", 1, [2, 1])]["tx"]["deps"].append([2, 1])
+
+
+MUTATIONS = {
+    "snapshot_balance": (skim_balance, check_conservation, "agent 3"),
+    "execute_verdict": (flip_verdict, check_agreement, "(3, 1)"),
+    "deliver_digest": (change_digest, check_rrb_uniqueness, "two digests"),
+    "swapped_executions": (
+        swap_dependent_executions, check_dependency_closure, "executed (2, 1) before (1, 1)"
+    ),
+    "missing_dependency": (
+        reference_unexecuted, check_dependency_closure,
+        "agent 2 executed (3, 1) with TxId(initiator=4, seq=1) missing",
+    ),
+    "self_reference": (reference_itself, check_dependency_closure, "executed (2, 1) before (2, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutated_trace_fails_its_check(name):
+    corrupt, check, detail = MUTATIONS[name]
+    records = good_records()
+    assert check(TraceView(records)).status == "PASS"
+    corrupt(records)
+    report = check(TraceView(records))
+    assert report.status == "FAIL"
+    assert detail in report.detail
+
+
+# -- the direct-requirement check equals the full-closure check ---------------------
+
+
+def full_closure_status(view):
+    """The dependency check by full closure of every execution: the reference."""
+    for agent in view.compliant:
+        universe = {
+            TxId(*r["txid"]): Transaction(
+                r["tx"]["initiator"], r["tx"]["recipient"], r["tx"]["value"], r["tx"]["seq"],
+                frozenset(TxId(*t) for t in r["tx"]["deps"]),
+                frozenset(TxId(*t) for t in r["tx"]["fees"]),
+            )
+            for r in view.executes[agent]
+        }
+        done = set()
+        for rec in view.executes[agent]:
+            txid = TxId(*rec["txid"])
+            try:
+                needed = dependency_closure(txid, universe)
+            except MissingTx:
+                return "FAIL"
+            if not needed <= done | {txid}:
+                return "FAIL"
+            done.add(txid)
+    return "PASS"
+
+
+def execute_records(order, n):
+    config = {
+        "kind": "CONFIG", "n": n, "epsilon": 1, "initial_balance": 1000,
+        "agents": [{"id": i, "kind": "COMPLIANT"} for i in range(1, n + 1)],
+    }
+    return [config] + [
+        {"kind": "EXECUTE", "agent": 1, "txid": txid_field(t.id), "tx": tx_fields(t)}
+        for t in order
+    ]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_direct_check_matches_full_closure(seed):
+    rng = random.Random(3000 + seed)
+    history = list(random_history(rng, max_txs=25).values())
+    n = max(t.initiator for t in history)
+    swapped = list(history)
+    k = rng.randrange(len(history) - 1)
+    swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+    dropped = list(history)
+    del dropped[rng.randrange(len(history))]
+    orders = [history, swapped, dropped, rng.sample(history, len(history))]
+    statuses = []
+    for order in orders:
+        view = TraceView(execute_records(order, n))
+        status = check_dependency_closure(view).status
+        assert status == full_closure_status(view)
+        statuses.append(status)
+    assert statuses[0] == "PASS"

@@ -228,6 +228,17 @@ def test_fixpoint_cascades_across_initiators():
     assert [r.tx.id for r in reports] == [first.id, second.id]
 
 
+def test_on_execute_sees_each_execution_before_the_next():
+    led = ledger()
+    first = Transaction(3, 4, 1, 1)
+    second = Transaction(4, 2, 1, 1, deps=frozenset({first.id}))
+    led.exec_buffer[second.id] = second
+    seen = []
+    reports = led.on_rrb_deliver(first, lambda r: seen.append((r.tx.id, led.snapshot()["S"])))
+    assert seen == [(first.id, [0, 0, 1, 0]), (second.id, [0, 0, 1, 1])]
+    assert [r.tx.id for r in reports] == [first.id, second.id]
+
+
 def test_snapshot_shape():
     led = ledger(n=4, balance=100)
     snap = led.snapshot()

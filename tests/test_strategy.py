@@ -3,6 +3,7 @@ from fractions import Fraction
 import ledgersim as L
 from helpers import backfill, make_config, pay, run_records
 from ledgersim.broadcast import ChannelState, MessageKind, Thresholds
+from ledgersim.checker import TraceView, check_conservation
 from ledgersim.ledger import LedgerState
 from ledgersim.strategy import converted_credits, utility, utility_breakdown
 from ledgersim.transaction import TxId
@@ -119,6 +120,30 @@ def test_freerider_withholds_then_backfills():
     assert max(r["idx"] for r in unblocked) > max(r["idx"] for r in blocked)
     # after the backfill the freerider catches up on the channel
     assert kinds_of(records, kind="EXECUTE", agent=4, txid=[1, 2])
+
+
+def test_batched_execution_snapshots_after_each_execute():
+    """The backfill lets one delivery execute buffered transactions; every
+    SNAPSHOT shows the ledger right after its own EXECUTE."""
+    overrides = {4: (L.StrategyKind.RATIONAL_FREERIDER, {"channels": [1]})}
+    script = [pay(0, 1, 2, 5), pay(10, 1, 3, 5), pay(30, 2, 3, 2), pay(40, 3, 2, 2), backfill(80, 4)]
+    records = run_records(make_config(seed=1, d_max=10, overrides=overrides, script=script))
+    batch, largest = 0, 0
+    for r in kinds_of(records, agent=4):
+        if r["kind"] == "RRB_DELIVER":
+            batch = 0
+        elif r["kind"] == "EXECUTE":
+            batch += 1
+            largest = max(largest, batch)
+    assert largest >= 2
+    view = TraceView(records)
+    events = view.ledger_events[4]  # the opening SNAPSHOT, then EXECUTE/SNAPSHOT pairs
+    seqs = [0] * 4
+    for execute, snap in zip(events[1::2], events[2::2]):
+        assert (execute["kind"], snap["kind"]) == ("EXECUTE", "SNAPSHOT")
+        seqs[execute["tx"]["initiator"] - 1] += 1
+        assert snap["S"] == seqs
+    assert check_conservation(view).status == "PASS"
 
 
 def test_retaliation_is_scoped_to_the_one_channel():

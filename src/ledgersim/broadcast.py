@@ -7,6 +7,12 @@ is withheld from any peer that still owes its own echo and ready for an
 earlier sequence, and a payload is delivered once 2t+1 distinct peers have
 signalled ready for the same (seq, digest).
 
+A receipt costs only what it changed: it drains the sender's queues alone,
+re-evaluates only the (seq, digest) keys that drain consumed, and re-gates
+only the sender unless it enqueued a new wave. Every quorum condition is
+monotone in tally size and every other queue and key was settled when it
+last changed, so this equals draining, rescanning and gating everything.
+
 State transitions are pure functions of (state, input); nothing here touches
 a clock or a socket. The simulator feeds messages in and schedules whatever
 comes out.
@@ -100,18 +106,20 @@ class ChannelState:
     """One agent's view of one broadcast channel."""
 
     def __init__(self, owner: AgentId, self_id: AgentId, thresholds: Thresholds):
-        agents = range(1, thresholds.n + 1)
+        self.peers: tuple[AgentId, ...] = tuple(range(1, thresholds.n + 1))
         self.owner = owner
         self.self_id = self_id
         self.thresholds = thresholds
         self.next_seq = 1  # meaningful on the owner only
-        self.last_echo: dict[AgentId, int] = {i: 0 for i in agents}
-        self.last_ready: dict[AgentId, int] = {i: 0 for i in agents}
-        # in/out queues are kept sorted ascending by seq; the counter breaks
-        # ties so tuple comparison never reaches the payload
-        self.in_echo_queues: dict[AgentId, list] = {i: [] for i in agents}
-        self.in_ready_queues: dict[AgentId, list] = {i: [] for i in agents}
-        self.out_queues: dict[AgentId, list] = {i: [] for i in agents}
+        self.last_echo: dict[AgentId, int] = {i: 0 for i in self.peers}
+        self.last_ready: dict[AgentId, int] = {i: 0 for i in self.peers}
+        # in-queues map seq -> (digest, payload), first arrival wins; every
+        # queued seq lies beyond last+1, behind a gap
+        self.in_echo_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
+        self.in_ready_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
+        # out-queues are kept sorted ascending by seq; the counter breaks ties
+        # so tuple comparison never reaches the payload
+        self.out_queues: dict[AgentId, list] = {i: [] for i in self.peers}
         self.echo_sent: set[int] = set()
         self.ready_sent: set[int] = set()
         self.initial_sent: set[int] = set()
@@ -121,7 +129,7 @@ class ChannelState:
         self.events: list[dict] = []  # retaliation + evidence, drained by the stack
         self._payloads: dict[tuple[int, bytes], Transaction] = {}
         self._initial_digest: dict[int, bytes] = {}
-        self._blocked_at: dict[AgentId, int | None] = {i: None for i in agents}
+        self._blocked_at: dict[AgentId, int | None] = {i: None for i in self.peers}
         self._arrivals = count()
 
     # -- initiation ---------------------------------------------------------
@@ -140,7 +148,7 @@ class ChannelState:
             )
         self.initial_sent.add(payload.seq)
         msg = BroadcastMessage(self.owner, MessageKind.INITIAL, payload.seq, payload)
-        return [(to, msg) for to in sorted(self.last_echo)]
+        return [(to, msg) for to in self.peers]
 
     # -- receipt ------------------------------------------------------------
 
@@ -148,6 +156,7 @@ class ChannelState:
         if msg.channel != self.owner:
             raise WrongChannel(f"message for channel {msg.channel} on {self.owner}")
         delivered: list[tuple[int, Transaction]] = []
+        waves = len(self.echo_sent) + len(self.ready_sent)
         if msg.kind is MessageKind.INITIAL:
             if frm != self.owner:
                 self.events.append(
@@ -165,52 +174,55 @@ class ChannelState:
             if msg.seq not in self.echo_sent:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
         else:
-            queues = (
-                self.in_echo_queues if msg.kind is MessageKind.ECHO else self.in_ready_queues
-            )
-            entry = (msg.seq, next(self._arrivals), msg.payload.digest, msg.payload)
-            bisect.insort(queues[frm], entry)
-            self.flush_in_queues()
-            delivered = self._evaluate_quorums()
-        outbound = self.flush_out_queue()
+            if msg.kind is MessageKind.ECHO:
+                queue, last = self.in_echo_queues[frm], self.last_echo
+            else:
+                queue, last = self.in_ready_queues[frm], self.last_ready
+            if msg.seq > last[frm]:  # a consumed seq is a duplicate
+                queue.setdefault(msg.seq, (msg.payload.digest, msg.payload))
+            delivered = self._evaluate_quorums(self.flush_in_queues(frm))
+        # a new wave reaches every out-queue; otherwise only frm's gate moved
+        waved = len(self.echo_sent) + len(self.ready_sent) != waves
+        outbound = self.flush_out_queue(self.peers if waved else (frm,))
         return ReceiveOutcome(outbound, delivered)
 
     # -- queue machinery ----------------------------------------------------
 
-    def flush_in_queues(self) -> None:
-        """Consume queued echo/ready entries strictly in sequence order.
+    def flush_in_queues(self, peer: AgentId) -> list[tuple[int, bytes]]:
+        """Consume peer's queued echo/ready entries strictly in sequence order.
 
-        A gap (entry seq beyond last+1) stops consumption for that peer until
-        the missing sequence arrives; duplicates for an already-consumed
-        sequence are dropped without touching any tally.
+        A gap (no entry for last+1) stops consumption for that peer until
+        the missing sequence arrives. Returns the (seq, digest) keys whose
+        tallies grew, ascending.
         """
-        for peer in sorted(self.last_echo):
-            self._drain(self.in_echo_queues[peer], self.last_echo, peer, self.echo_tally)
-            self._drain(self.in_ready_queues[peer], self.last_ready, peer, self.ready_tally)
+        keys = self._drain(self.in_echo_queues[peer], self.last_echo, peer, self.echo_tally)
+        keys += self._drain(self.in_ready_queues[peer], self.last_ready, peer, self.ready_tally)
+        return sorted(set(keys))
 
-    def _drain(self, queue: list, last: dict, peer: AgentId, tally: dict) -> None:
-        while queue:
-            seq, _arr, dig, payload = queue[0]
-            if seq <= last[peer]:
-                queue.pop(0)  # duplicate for a consumed sequence
-                continue
-            if seq == last[peer] + 1:
-                queue.pop(0)
-                last[peer] = seq
-                tally.setdefault((seq, dig), set()).add(peer)
-                self._payloads.setdefault((seq, dig), payload)
-                continue
-            break
+    def _drain(self, queue: dict, last: dict, peer: AgentId, tally: dict) -> list:
+        consumed = []
+        seq = last[peer] + 1
+        while seq in queue:
+            dig, payload = queue.pop(seq)
+            key = (seq, dig)
+            tally.setdefault(key, set()).add(peer)
+            self._payloads.setdefault(key, payload)
+            consumed.append(key)
+            seq += 1
+        last[peer] = seq - 1
+        return consumed
 
-    def flush_out_queue(self) -> list[tuple[AgentId, BroadcastMessage]]:
-        """Release queued outgoing messages that pass the retaliation gate.
+    def flush_out_queue(
+        self, peers: tuple[AgentId, ...]
+    ) -> list[tuple[AgentId, BroadcastMessage]]:
+        """Release queued outgoing messages to peers that pass the retaliation gate.
 
         A message with sequence s is released to peer j only once j has
         completed sequence s-1 (sent both its echo and its ready); the first
         withheld entry blocks everything behind it for that peer.
         """
         released: list[tuple[AgentId, BroadcastMessage]] = []
-        for peer in sorted(self.out_queues):
+        for peer in peers:
             queue = self.out_queues[peer]
             while queue:
                 seq, _arr, msg = queue[0]
@@ -233,10 +245,10 @@ class ChannelState:
 
     # -- quorums and delivery -------------------------------------------------
 
-    def _evaluate_quorums(self) -> list[tuple[int, Transaction]]:
+    def _evaluate_quorums(self, keys: list[tuple[int, bytes]]) -> list[tuple[int, Transaction]]:
         th = self.thresholds
         delivered: list[tuple[int, Transaction]] = []
-        for key in sorted(set(self.echo_tally) | set(self.ready_tally)):
+        for key in keys:
             seq, _dig = key
             echoes = len(self.echo_tally.get(key, ()))
             readies = len(self.ready_tally.get(key, ()))
@@ -265,7 +277,7 @@ class ChannelState:
         # one echo and one ready per sequence, fanned out to every agent
         (self.echo_sent if kind is MessageKind.ECHO else self.ready_sent).add(seq)
         msg = BroadcastMessage(self.owner, kind, seq, payload)
-        for peer in sorted(self.out_queues):
+        for peer in self.peers:
             bisect.insort(self.out_queues[peer], (seq, next(self._arrivals), msg))
 
     def drain_events(self) -> list[dict]:

@@ -82,6 +82,13 @@ def _txid(raw) -> TxId:
     return TxId(int(raw[0]), int(raw[1]))
 
 
+def _bad_record(rec: dict, key) -> str:
+    where = f"record {rec.get('idx')} ({rec.get('kind')})"
+    if "agent" in rec and rec["agent"] == key:
+        return f"{where} names agent {key!r}, absent from CONFIG"
+    return f"{where} has no field {key!r}"
+
+
 class TraceView:
     """Index over one run's records, built in one pass; checks share it.
 
@@ -108,21 +115,24 @@ class TraceView:
         # seqs each agent sent INITIALs for on its own channel
         self.own_initials: dict[int, set[int]] = {i: set() for i in self.agent_kinds}
         self.delivers: list[dict] = []
-        for rec in records:
-            kind = rec["kind"]
-            if kind == "EXECUTE":
-                self.executes[rec["agent"]].append(rec)
-                self.ledger_events[rec["agent"]].append(rec)
-            elif kind == "SNAPSHOT":
-                self.snapshots[rec["agent"]].append(rec)
-                self.ledger_events[rec["agent"]].append(rec)
-            elif kind == "RRB_DELIVER":
-                self.delivers.append(rec)
-            elif kind == "SEND":
-                if rec["mkind"] == "INITIAL" and rec["channel"] == rec["agent"]:
-                    self.own_initials[rec["agent"]].add(rec["seq"])
-            elif kind == "END":
-                self.quiescent = bool(rec["quiescent"])
+        try:
+            for rec in records:
+                kind = rec["kind"]
+                if kind == "EXECUTE":
+                    self.executes[rec["agent"]].append(rec)
+                    self.ledger_events[rec["agent"]].append(rec)
+                elif kind == "SNAPSHOT":
+                    self.snapshots[rec["agent"]].append(rec)
+                    self.ledger_events[rec["agent"]].append(rec)
+                elif kind == "RRB_DELIVER":
+                    self.delivers.append(rec)
+                elif kind == "SEND":
+                    if rec["mkind"] == "INITIAL" and rec["channel"] == rec["agent"]:
+                        self.own_initials[rec["agent"]].add(rec["seq"])
+                elif kind == "END":
+                    self.quiescent = bool(rec["quiescent"])
+        except KeyError as exc:
+            raise ValueError(_bad_record(rec, exc.args[0])) from None
 
     def verdicts(self, agent: int) -> dict[TxId, str]:
         return {_txid(r["txid"]): r["verdict"] for r in self.executes[agent]}

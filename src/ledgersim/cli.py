@@ -29,6 +29,21 @@ EXIT_CONFIG = 2
 EXIT_NONQUIESCENT = 3
 
 
+SCENARIO_KEYS = frozenset({
+    "n", "t", "epsilon", "initial_balance", "seed", "seeds", "seed_range", "d_min",
+    "d_max", "fifo_channels", "condition3_strict", "msg_cost_c", "agents", "script",
+    "max_steps",
+})
+
+
+def flag(raw: dict, key: str) -> bool:
+    """A JSON true/false field, default false; "false" is not a boolean."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigInvalid(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def parse_action(raw: dict) -> dict:
     verbs = [k for k in raw if k in ("pay", "backfill")]
     if len(verbs) != 1:
@@ -40,17 +55,23 @@ def parse_action(raw: dict) -> dict:
         action.update(
             to=int(body["to"]),
             amount=int(body["amount"]),
-            convert_fees=bool(body.get("convert_fees", False)),
+            convert_fees=flag(body, "convert_fees"),
         )
     return action
 
 
 def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
+    unknown = sorted(set(raw) - SCENARIO_KEYS)
+    if unknown:
+        raise ConfigInvalid(f"unknown scenario keys: {', '.join(unknown)}")
     try:
         agents = [
             AgentSpec(int(a["id"]), StrategyKind(a["kind"]), a.get("params", {}))
             for a in raw["agents"]
         ]
+        for spec in agents:
+            if not isinstance(spec.params, dict):
+                raise ConfigInvalid(f"agent {spec.id}: params must be an object")
         script = [
             ScriptAction(int(s["tick"]), int(s["agent"]), parse_action(s["action"]))
             for s in raw.get("script", [])
@@ -63,14 +84,14 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
             seed=seed_override if seed_override is not None else int(first_seed(raw)),
             d_min=int(raw.get("d_min", 1)),
             d_max=int(raw.get("d_max", 1)),
-            fifo_channels=bool(raw.get("fifo_channels", False)),
-            condition3_strict=bool(raw.get("condition3_strict", False)),
+            fifo_channels=flag(raw, "fifo_channels"),
+            condition3_strict=flag(raw, "condition3_strict"),
             msg_cost_c=raw.get("msg_cost_c", 0),
             agents=agents,
             script=script,
             max_steps=int(raw.get("max_steps", 1_000_000)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad scenario field: {exc}") from exc
     config.validate()
     return config
@@ -182,6 +203,8 @@ def cmd_sweep(args) -> int:
     try:
         raw = load_scenario(args.scenario)
         seeds = scenario_seeds(raw, args.seeds)
+        if not seeds:
+            raise ConfigInvalid("no seeds to sweep")
         build_config(raw, seeds[0])  # validate once before forking workers
     except (OSError, json.JSONDecodeError, ConfigInvalid, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .broadcast import BroadcastMessage, MessageKind, Thresholds
-from .strategy import AgentSpec, AgentStack
+from .strategy import AgentSpec, AgentStack, as_fraction
 from .trace import TraceRecorder
 from .transaction import AgentId, Money
 
@@ -89,6 +89,18 @@ class SimConfig:
                 fail("script ticks must be non-negative")
             if not 1 <= item.agent <= self.n:
                 fail(f"script names unknown agent {item.agent}")
+            if item.action.get("type", "pay") == "pay":
+                to, amount = item.action["to"], item.action["amount"]
+                if not 1 <= to <= self.n:
+                    fail(f"agent {item.agent} pays unknown agent {to}")
+                if to == item.agent:
+                    fail(f"agent {item.agent} pays itself")
+                if amount < 0:
+                    fail(f"agent {item.agent} pays a negative amount {amount}")
+        try:
+            as_fraction(self.msg_cost_c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            fail(f"msg_cost_c must be a number or a fraction string, got {self.msg_cost_c!r}")
 
 
 @dataclass

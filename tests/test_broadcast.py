@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from ledgersim.broadcast import (
     ChannelState,
     MessageKind,
     NotOwner,
+    ReceiveOutcome,
     SeqMismatch,
     Thresholds,
     WrongChannel,
@@ -301,11 +303,14 @@ def test_random_storm_preserves_instance_invariants(seed):
             assert ch.last_echo[peer] >= prev_echo[peer]
             assert ch.last_ready[peer] >= prev_ready[peer]
         prev_echo, prev_ready = dict(ch.last_echo), dict(ch.last_ready)
-        # queues stay sorted by seq
-        for q in (ch.in_echo_queues, ch.in_ready_queues, ch.out_queues):
-            for entries in q.values():
-                seqs = [e[0] for e in entries]
-                assert seqs == sorted(seqs)
+        # every queued in-entry waits behind a gap; out-queues stay sorted by seq
+        for queues, last in ((ch.in_echo_queues, ch.last_echo),
+                             (ch.in_ready_queues, ch.last_ready)):
+            for peer, entries in queues.items():
+                assert all(seq > last[peer] + 1 for seq in entries)
+        for entries in ch.out_queues.values():
+            seqs = [e[0] for e in entries]
+            assert seqs == sorted(seqs)
         waves = len(ch.echo_sent) + len(ch.ready_sent)
         assert waves <= 2 * 5
     # tallies only contain distinct peers, and at most one digest delivered per seq
@@ -313,3 +318,105 @@ def test_random_storm_preserves_instance_invariants(seed):
         for members in tally.values():
             assert members <= {1, 2, 3, 4}
     assert len(ch.delivered) == len(set(ch.delivered))
+
+
+# -- incremental receive path against the full rescan ------------------------------
+
+
+class FullRescanChannel(ChannelState):
+    """The reference receive path: sorted-list in-queues, every peer drained,
+    every tallied key rescanned and every peer gated on each receipt."""
+
+    def __init__(self, owner, self_id, thresholds):
+        super().__init__(owner, self_id, thresholds)
+        self.in_echo_queues = {i: [] for i in self.peers}
+        self.in_ready_queues = {i: [] for i in self.peers}
+
+    def on_receive(self, frm, msg):
+        if msg.channel != self.owner:
+            raise WrongChannel(f"message for channel {msg.channel} on {self.owner}")
+        delivered = []
+        if msg.kind is MessageKind.INITIAL:
+            if frm != self.owner:
+                self.events.append(
+                    {"kind": "BYZ_EVIDENCE", "reason": "initial-from-non-owner",
+                     "frm": frm, "seq": msg.seq}
+                )
+                return ReceiveOutcome([], [])
+            seen = self._initial_digest.setdefault(msg.seq, msg.payload.digest)
+            if seen != msg.payload.digest:
+                self.events.append(
+                    {"kind": "BYZ_EVIDENCE", "reason": "conflicting-initial",
+                     "frm": frm, "seq": msg.seq}
+                )
+            self._payloads.setdefault((msg.seq, msg.payload.digest), msg.payload)
+            if msg.seq not in self.echo_sent:
+                self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
+        else:
+            queues = (
+                self.in_echo_queues if msg.kind is MessageKind.ECHO else self.in_ready_queues
+            )
+            entry = (msg.seq, next(self._arrivals), msg.payload.digest, msg.payload)
+            bisect.insort(queues[frm], entry)
+            for peer in self.peers:
+                self._drain_list(self.in_echo_queues[peer], self.last_echo, peer, self.echo_tally)
+                self._drain_list(
+                    self.in_ready_queues[peer], self.last_ready, peer, self.ready_tally
+                )
+            delivered = self._evaluate_quorums(
+                sorted(set(self.echo_tally) | set(self.ready_tally))
+            )
+        return ReceiveOutcome(self.flush_out_queue(self.peers), delivered)
+
+    def _drain_list(self, queue, last, peer, tally):
+        while queue:
+            seq, _arr, dig, payload = queue[0]
+            if seq <= last[peer]:
+                queue.pop(0)  # duplicate for a consumed sequence
+                continue
+            if seq == last[peer] + 1:
+                queue.pop(0)
+                last[peer] = seq
+                tally.setdefault((seq, dig), set()).add(peer)
+                self._payloads.setdefault((seq, dig), payload)
+                continue
+            break
+
+
+def storm(rng, n, steps):
+    """Echo/ready/initial traffic for channel 1 with gaps, duplicates,
+    conflicting payloads, initials from non-owners and far-future seqs."""
+    honest = {s: tx(s) for s in range(1, 61)}
+    for _ in range(steps):
+        frm = rng.randrange(1, n + 1)
+        r = rng.random()
+        seq = rng.randrange(50, 61) if r < 0.03 else rng.randrange(1, 9)
+        payload = tx(seq, value=90 + rng.randrange(3)) if r > 0.85 else honest[seq]
+        kind = rng.choice((MessageKind.ECHO, MessageKind.ECHO, MessageKind.READY,
+                           MessageKind.READY, MessageKind.INITIAL))
+        yield frm, BroadcastMessage(1, kind, seq, payload)
+
+
+def channel_state(ch):
+    # the reference also draws arrival counters for in-queue entries
+    out = {peer: [(seq, m) for seq, _arr, m in q] for peer, q in ch.out_queues.items()}
+    return (ch.echo_tally, ch.ready_tally, ch.last_echo, ch.last_ready, ch.delivered,
+            ch.echo_sent, ch.ready_sent, out, ch.next_seq)
+
+
+@pytest.mark.parametrize("th,self_id", [(N4, 1), (N4, 2), (N7, 1), (N7, 5)])
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_receive_matches_full_rescan(th, self_id, seed):
+    rng = random.Random(seed)
+    fast, ref = ChannelState(1, self_id, th), FullRescanChannel(1, self_id, th)
+    seen = {"deliveries": 0, "blocks": 0}
+    for frm, msg in storm(rng, th.n, 150 * th.n):
+        got, want = fast.on_receive(frm, msg), ref.on_receive(frm, msg)
+        assert got == want
+        events = fast.drain_events()
+        assert events == ref.drain_events()
+        assert channel_state(fast) == channel_state(ref)
+        seen["deliveries"] += len(got.delivered)
+        seen["blocks"] += sum(e["kind"] == "RETAL_BLOCK" for e in events)
+    # the storm reaches delivery and the retaliation gate, not only queueing
+    assert seen["deliveries"] > 0 and seen["blocks"] > 0

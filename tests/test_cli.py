@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ledgersim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -106,6 +108,59 @@ def test_check_unreadable_trace_exits_two(tmp_path, capsys):
     trace = tmp_path / "junk.jsonl"
     trace.write_text("not json\n")
     assert main(["check", str(trace)]) == 2
+
+
+def test_check_names_the_record_with_an_unknown_agent(tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    main(["run", str(SCENARIOS / "allgood.json"), "--trace", str(trace)])
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["kind"] == "EXECUTE":
+            rec["agent"] = 9
+            lines[i] = json.dumps(rec)
+            break
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert f"record {rec['idx']} (EXECUTE) names agent 9, absent from CONFIG" in err
+
+
+def pay_to(to, amount=5):
+    return [{"tick": 0, "agent": 1, "action": {"pay": {"to": to, "amount": amount}}}]
+
+
+@pytest.mark.parametrize(
+    "over,phrase",
+    [
+        ({"script": pay_to(9)}, "pays unknown agent 9"),
+        ({"script": pay_to(1)}, "pays itself"),
+        ({"script": pay_to(2, amount=-5)}, "negative amount"),
+        ({"msg_cost_c": "abc"}, "msg_cost_c"),
+        ({"fifo_channels": "false"}, "fifo_channels must be true or false"),
+        ({"d_mx": 5}, "unknown scenario keys: d_mx"),
+        ({"agents": [{"id": i, "kind": "COMPLIANT", "params": [1]} for i in range(1, 5)]},
+         "params must be an object"),
+    ],
+    ids=["unknown-recipient", "self-pay", "negative-amount", "bad-msg-cost",
+         "string-boolean", "unknown-key", "params-not-object"],
+)
+def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, over, phrase):
+    path = write_scenario(tmp_path, minimal_scenario(**over))
+    assert main(["run", path, "--check", "--summary"]) == 2
+    assert phrase in capsys.readouterr().err
+
+
+def test_empty_seed_list_exits_two(tmp_path, capsys):
+    body = minimal_scenario(seeds=[])
+    del body["seed"]
+    path = write_scenario(tmp_path, body)
+    assert main(["run", path]) == 2
+    assert main(["sweep", path]) == 2
+    assert main(["sweep", write_scenario(tmp_path, minimal_scenario(), "b.json"),
+                 "--seeds", "5..1"]) == 2
+    assert "no seeds to sweep" in capsys.readouterr().err
 
 
 def test_sweep_aggregates_seeds(tmp_path, capsys):

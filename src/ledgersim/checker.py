@@ -1,16 +1,18 @@
 """Offline oracles over trace records.
 
-Every check consumes the parsed record list and nothing else, so a trace
-written to disk and read back verifies identically, and any other
-implementation emitting the same record format can be validated against the
-same checks. Liveness-flavored checks report UNKNOWN on non-quiescent runs
-instead of failing them.
+`TraceView` folds one pass over any iterable of records, a list in memory or
+`trace.read_trace` streaming a file, and keeps only the records the oracles
+index. Every check reads that view and nothing else, so a trace written to
+disk and read back verifies identically, and any other implementation
+emitting the same record format can be validated against the same checks.
+Liveness-flavored checks report UNKNOWN on non-quiescent runs instead of
+failing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .transaction import Transaction, TxId
 
@@ -92,18 +94,28 @@ def _bad_record(rec: dict, key) -> str:
 class TraceView:
     """Index over one run's records, built in one pass; checks share it.
 
-    Every index holds references to the records, never copies.
+    The first record must be CONFIG. Every index holds references to the
+    records, never copies; records no index keeps (SEND, RECV, ...) are
+    dropped as soon as they are read.
     """
 
-    def __init__(self, records: list[dict]):
-        config = next((r for r in records if r["kind"] == "CONFIG"), None)
+    def __init__(self, records: Iterable[dict]):
+        records = iter(records)
+        config = next(records, None)
         if config is None:
-            raise ValueError("trace has no CONFIG record")
+            raise ValueError("trace is empty")
+        if config.get("kind") != "CONFIG":
+            raise ValueError(
+                f"record {config.get('idx')} ({config.get('kind')}) comes first, not CONFIG"
+            )
+        try:
+            self.n: int = config["n"]
+            self.epsilon: int = config["epsilon"]
+            self.initial_balance: int = config["initial_balance"]
+            self.agent_kinds = {a["id"]: a["kind"] for a in config["agents"]}
+        except KeyError as exc:
+            raise ValueError(_bad_record(config, exc.args[0])) from None
         self.config = config
-        self.n: int = config["n"]
-        self.epsilon: int = config["epsilon"]
-        self.initial_balance: int = config["initial_balance"]
-        self.agent_kinds = {a["id"]: a["kind"] for a in config["agents"]}
         self.compliant = sorted(
             i for i, kind in self.agent_kinds.items() if kind == "COMPLIANT"
         )
@@ -125,6 +137,8 @@ class TraceView:
                     self.snapshots[rec["agent"]].append(rec)
                     self.ledger_events[rec["agent"]].append(rec)
                 elif kind == "RRB_DELIVER":
+                    if rec["agent"] not in self.agent_kinds:
+                        raise KeyError(rec["agent"])
                     self.delivers.append(rec)
                 elif kind == "SEND":
                     if rec["mkind"] == "INITIAL" and rec["channel"] == rec["agent"]:
@@ -362,6 +376,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all_checks(records: list[dict]) -> list[CheckReport]:
+def run_all_checks(records: Iterable[dict]) -> list[CheckReport]:
     view = TraceView(records)
     return [check(view) for check in ALL_CHECKS]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checker import PASS, run_all_checks
 from .netsim import ConfigInvalid, ScriptAction, SimConfig, run
-from .strategy import AgentSpec, StrategyKind, utility
+from .strategy import AgentSpec, StrategyKind, make_behavior, utility
 from .trace import read_trace, write_trace
 
 EXIT_OK = 0
@@ -72,6 +72,10 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
         for spec in agents:
             if not isinstance(spec.params, dict):
                 raise ConfigInvalid(f"agent {spec.id}: params must be an object")
+            try:
+                make_behavior(spec)
+            except ValueError as exc:
+                raise ConfigInvalid(f"agent {spec.id}: bad params: {exc}") from None
         script = [
             ScriptAction(int(s["tick"]), int(s["agent"]), parse_action(s["action"]))
             for s in raw.get("script", [])
@@ -179,9 +183,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         with open(args.trace) as fp:
-            records = read_trace(fp)
-        reports = run_all_checks(records)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+            reports = run_all_checks(read_trace(fp))
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: unreadable trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print_reports(reports)

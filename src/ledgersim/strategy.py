@@ -56,7 +56,7 @@ class AgentStack:
             owner: ChannelState(owner, spec.id, thresholds)
             for owner in range(1, config.n + 1)
         }
-        self.behavior = _BEHAVIORS[spec.kind](spec.params)
+        self.behavior = make_behavior(spec)
         self.pending: deque[dict] = deque()
 
     def on_action(self, action: dict) -> list[tuple[AgentId, BroadcastMessage]]:
@@ -131,11 +131,45 @@ class AgentStack:
         self.recorder.emit("SNAPSHOT", **self.ledger.snapshot())
 
 
+def _natural(value) -> int:
+    """A value that fits the wire encoding's unsigned 64-bit fields."""
+    number = int(value)
+    if not 0 <= number < 2**64:
+        raise ValueError("must be in 0..2**64-1")
+    return number
+
+
+def _naturals(value) -> set[int]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("must be a list of integers")
+    return {_natural(v) for v in value}
+
+
+def _txid(value) -> TxId:
+    initiator, seq = value
+    return TxId(_natural(initiator), _natural(seq))
+
+
+def _param(params: Mapping, key: str, convert, default=None):
+    """params[key] through `convert`; `default` when absent or null.
+
+    Raises ValueError naming the key, so a scenario's bad params fail when
+    the behavior is built, not mid-run.
+    """
+    value = params.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{key}={value!r}: {exc}") from None
+
+
 class CompliantBehavior:
     """Follows the protocol exactly; every other behavior derives from it."""
 
     def __init__(self, params: Mapping):
-        self.params = dict(params)
+        """Convert the params the behavior reads; this one reads none."""
 
     # hooks the deviations override
     def executes(self, stack: AgentStack, tx: Transaction) -> bool:
@@ -211,7 +245,18 @@ class SilentBehavior(CompliantBehavior):
 
 
 class EquivocateBehavior(CompliantBehavior):
-    """Emits two INITIALs with the same seq and different recipients/values."""
+    """Emits two INITIALs with the same seq and different recipients/values.
+
+    params: alt_to, alt_amount (the second payload's recipient and value;
+    by default another agent and amount + 1), alt_targets (the agents sent
+    the second payload; by default the last third of the others).
+    """
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.alt_to = _param(params, "alt_to", _natural)
+        self.alt_amount = _param(params, "alt_amount", _natural)
+        self.alt_targets = _param(params, "alt_targets", _naturals)
 
     def on_action(self, stack, action):
         if action.get("type", "pay") != "pay":
@@ -224,14 +269,15 @@ class EquivocateBehavior(CompliantBehavior):
         to = int(action["to"])
         amount = int(action["amount"])
         others = [i for i in sorted(stack.channels) if i != me]
-        alt_to = int(self.params.get("alt_to", next(i for i in others if i != to)))
-        alt_amount = int(self.params.get("alt_amount", amount + 1))
+        alt_to = self.alt_to
+        if alt_to is None:
+            alt_to = next(i for i in others if i != to)
+        alt_amount = amount + 1 if self.alt_amount is None else self.alt_amount
         tx_a = Transaction(me, to, amount, seq)
         tx_b = Transaction(me, alt_to, alt_amount, seq)
-        alt_targets = self.params.get("alt_targets")
+        alt_targets = self.alt_targets
         if alt_targets is None:
-            alt_targets = others[len(others) - len(others) // 3:]
-        alt_targets = set(int(i) for i in alt_targets)
+            alt_targets = set(others[len(others) - len(others) // 3:])
         own.initial_sent.add(seq)
         outputs = []
         for target in sorted(stack.channels):
@@ -241,11 +287,17 @@ class EquivocateBehavior(CompliantBehavior):
 
 
 class OverdraftBehavior(CompliantBehavior):
-    """Broadcasts a payment its balance cannot cover; executes everywhere as bad."""
+    """Broadcasts a payment its balance cannot cover; executes everywhere as bad.
+
+    params: extra (how far the value exceeds the balance; default 100).
+    """
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.extra = _param(params, "extra", _natural, 100)
 
     def mint(self, stack, action):
-        extra = int(self.params.get("extra", 100))
-        value = stack.ledger.B[stack.id] + extra
+        value = stack.ledger.B[stack.id] + self.extra
         tx = Transaction(stack.id, int(action["to"]), value, stack.own_channel().next_seq)
         try:
             return stack.own_channel().broadcast(tx)
@@ -254,13 +306,19 @@ class OverdraftBehavior(CompliantBehavior):
 
 
 class BadDepsBehavior(CompliantBehavior):
-    """References a known-bad transaction in its dependency set."""
+    """References a known-bad transaction in its dependency set.
+
+    params: bad_ref ([initiator, seq] to reference; by default the lowest
+    transaction the agent has executed as bad).
+    """
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.bad_ref = _param(params, "bad_ref", _txid)
 
     def mint(self, stack, action):
-        bad_ref = self.params.get("bad_ref")
-        if bad_ref is not None:
-            bad_ref = TxId(int(bad_ref[0]), int(bad_ref[1]))
-        else:
+        bad_ref = self.bad_ref
+        if bad_ref is None:
             bad = sorted(t for t, r in stack.ledger.executed.items() if r.bad)
             bad_ref = bad[0] if bad else None
         if bad_ref is None:
@@ -288,9 +346,8 @@ class FreeriderBehavior(CompliantBehavior):
 
     def __init__(self, params):
         super().__init__(params)
-        self.channels = set(int(c) for c in params.get("channels", []))
-        seqs = params.get("seqs")
-        self.seqs = None if seqs is None else set(int(s) for s in seqs)
+        self.channels = _param(params, "channels", _naturals, set())
+        self.seqs = _param(params, "seqs", _naturals)
         self.stash: list[tuple[AgentId, BroadcastMessage]] = []
 
     def filter_outbound(self, stack, outputs):
@@ -330,6 +387,11 @@ _BEHAVIORS = {
     StrategyKind.RATIONAL_FREERIDER: FreeriderBehavior,
     StrategyKind.RATIONAL_LAZY_EXEC: LazyExecBehavior,
 }
+
+
+def make_behavior(spec: AgentSpec) -> CompliantBehavior:
+    """The behavior of `spec`; ValueError naming the param if one is bad."""
+    return _BEHAVIORS[spec.kind](spec.params)
 
 
 # -- utility accounting ------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Records are JSON objects, one per line, strictly ordered by (tick, idx).
 A CONFIG record opens every trace and an END record closes it, so a trace
-file is self-describing for offline checking. All other kinds are events:
+file is self-describing for offline checking. `read_trace` streams a written
+file back one record at a time, so a reader never holds more of it than it
+keeps. All other kinds are events:
 
     SEND / RECV        network traffic (loopback self-messages are not traced)
     RRB_DELIVER        broadcast layer handed a payload to the ledger
@@ -18,12 +20,15 @@ file is self-describing for offline checking. All other kinds are events:
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .transaction import Transaction, TxId
 
 # json.dumps with non-default arguments builds a new encoder on every call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+# the whitespace JSON allows around a value; any other character is an error
+_JSON_SPACE = " \t\n\r"
 
 
 def txid_field(txid: TxId | tuple) -> list[int]:
@@ -67,5 +72,25 @@ def write_trace(records: Iterable[dict], fp: IO[str]) -> None:
         fp.write("\n")
 
 
-def read_trace(fp: IO[str]) -> list[dict]:
-    return [json.loads(line) for line in fp if line.strip()]
+def read_trace(fp: IO[str]) -> Iterator[dict]:
+    """Yield the records of a written trace, one per non-blank line, lazily.
+
+    Each line must hold exactly one JSON object, as `json.loads` would accept
+    it; anything else raises ValueError naming the 1-based line number when
+    the iteration reaches that line. Records before it have been yielded by
+    then. A caller that needs a list writes `list(read_trace(fp))`.
+    """
+    decode = _DECODER.raw_decode
+    for lineno, line in enumerate(fp, 1):
+        text = line.strip(_JSON_SPACE)
+        if not text:
+            continue
+        try:
+            record, end = decode(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{exc.msg}: line {lineno} column {exc.colno}") from exc
+        if end != len(text):
+            raise ValueError(f"Extra data: line {lineno} column {end + 1}")
+        if type(record) is not dict:
+            raise ValueError(f"not a JSON object: line {lineno}")
+        yield record

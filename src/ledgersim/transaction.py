@@ -48,6 +48,8 @@ class Transaction:
     deps: frozenset[TxId] = frozenset()
     fees: frozenset[TxId] = frozenset()
     digest: bytes = field(init=False, repr=False, compare=False)
+    # the 16-hex-digit digest prefix every SEND, RECV and RRB_DELIVER record carries
+    digest_hex: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deps", frozenset(TxId(*t) for t in self.deps))
@@ -55,12 +57,10 @@ class Transaction:
         raw = canonical_encode(
             self.initiator, self.recipient, self.value, self.seq, self.deps, self.fees
         )
-        object.__setattr__(self, "digest", hashlib.sha256(raw).digest())
+        digest = hashlib.sha256(raw).digest()
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "digest_hex", digest[:8].hex())
 
     @property
     def id(self) -> TxId:
         return TxId(self.initiator, self.seq)
-
-    @property
-    def digest_hex(self) -> str:
-        return self.digest.hex()[:16]

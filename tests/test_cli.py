@@ -127,6 +127,80 @@ def test_check_names_the_record_with_an_unknown_agent(tmp_path, capsys):
     assert f"record {rec['idx']} (EXECUTE) names agent 9, absent from CONFIG" in err
 
 
+def written_trace(tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    main(["run", str(SCENARIOS / "allgood.json"), "--trace", str(trace)])
+    capsys.readouterr()
+    return trace
+
+
+def test_check_rejects_a_deliver_by_an_unknown_agent(tmp_path, capsys):
+    trace = written_trace(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["kind"] == "RRB_DELIVER":
+            rec["agent"] = 9
+            lines[i] = json.dumps(rec)
+            break
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "record 52 (RRB_DELIVER) names agent 9, absent from CONFIG" in err
+
+
+@pytest.mark.parametrize(
+    "edit,phrase",
+    [
+        (lambda lines: lines.insert(3, "1"), "not a JSON object: line 4"),
+        (lambda lines: lines.insert(3, "[1,2]"), "not a JSON object: line 4"),
+        (lambda lines: lines.insert(3, lines[3] + lines[4]), "Extra data: line 4 column"),
+        (lambda lines: lines.__setitem__(3, lines[3][:-5]), "Unterminated string starting at: line 4"),
+        (lambda lines: lines.pop(0), "record 1 (SNAPSHOT) comes first, not CONFIG"),
+        (lambda lines: lines.clear(), "trace is empty"),
+    ],
+    ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty"],
+)
+def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
+    trace = written_trace(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    edit(lines)
+    trace.write_text("".join(line + "\n" for line in lines))
+    assert main(["check", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: unreadable trace: {phrase}" in captured.err
+    assert captured.out == ""
+
+
+def with_agent(kind, params):
+    agents = [{"id": i, "kind": "COMPLIANT"} for i in range(1, 5)]
+    agents[3] = {"id": 4, "kind": kind, "params": params}
+    return {"agents": agents}
+
+
+@pytest.mark.parametrize(
+    "kind,params,phrase",
+    [
+        ("RATIONAL_FREERIDER", {"channels": 5}, "channels=5: must be a list of integers"),
+        ("RATIONAL_FREERIDER", {"channels": ["x"]}, "channels=['x']: invalid literal"),
+        ("RATIONAL_FREERIDER", {"channels": [1], "seqs": "1"}, "seqs='1': must be a list"),
+        ("BYZ_EQUIVOCATE", {"alt_to": "two"}, "alt_to='two': invalid literal"),
+        ("BYZ_EQUIVOCATE", {"alt_amount": -5}, "alt_amount=-5: must be in 0..2**64-1"),
+        ("BYZ_EQUIVOCATE", {"alt_targets": 3}, "alt_targets=3: must be a list of integers"),
+        ("BYZ_OVERDRAFT", {"extra": [100]}, "extra=[100]: int() argument"),
+        ("BYZ_BAD_DEPS", {"bad_ref": [1]}, "bad_ref=[1]: not enough values"),
+        ("BYZ_BAD_DEPS", {"bad_ref": 7}, "bad_ref=7: cannot unpack"),
+    ],
+    ids=["channels-int", "channels-str-item", "seqs-str", "alt_to-str", "alt_amount-neg",
+         "alt_targets-int", "extra-list", "bad_ref-short", "bad_ref-int"],
+)
+def test_malformed_behavior_param_exits_two(tmp_path, capsys, kind, params, phrase):
+    path = write_scenario(tmp_path, minimal_scenario(**with_agent(kind, params)))
+    assert main(["run", path, "--check"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: agent 4: bad params: {phrase}" in err
+
+
 def pay_to(to, amount=5):
     return [{"tick": 0, "agent": 1, "action": {"pay": {"to": to, "amount": amount}}}]
 

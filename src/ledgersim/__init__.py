@@ -5,7 +5,8 @@ that retaliate against peers withholding echo/ready traffic; a replicated
 fee-charging ledger executes what gets delivered. The simulator is fully
 deterministic per (config, seed), every run yields a line-delimited trace,
 and offline checkers verify validity, agreement, integrity, source order,
-no-debt, conservation, and delivery uniqueness over that trace.
+no-debt, conservation, delivery uniqueness, dependency closure and delivery
+provenance over that trace; each agent's utility is read from it too.
 """
 
 from .broadcast import (
@@ -22,8 +23,11 @@ from .checker import (
     CyclicDependency,
     MissingTx,
     chain_height,
+    converted_credits,
     dependency_closure,
     run_all_checks,
+    utility,
+    utility_breakdown,
 )
 from .ledger import (
     AlreadyExecuted,
@@ -33,14 +37,7 @@ from .ledger import (
     LedgerState,
 )
 from .netsim import ConfigInvalid, RunResult, ScriptAction, SimConfig, Simulator, run
-from .strategy import (
-    AgentSpec,
-    AgentStack,
-    StrategyKind,
-    converted_credits,
-    utility,
-    utility_breakdown,
-)
+from .strategy import AgentSpec, AgentStack, StrategyKind
 from .transaction import AgentId, Money, Transaction, TxId
 
 __all__ = [

@@ -20,10 +20,9 @@ comes out.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 
 from .transaction import AgentId, Transaction
 
@@ -117,8 +116,8 @@ class ChannelState:
         # queued seq lies beyond last+1, behind a gap
         self.in_echo_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
         self.in_ready_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
-        # out-queues are kept sorted ascending by seq; the counter breaks ties
-        # so tuple comparison never reaches the payload
+        # out-queues are heaps of (seq, is READY, msg): a seq gets one ECHO
+        # and one READY, the ECHO first, so comparison never reaches msg
         self.out_queues: dict[AgentId, list] = {i: [] for i in self.peers}
         self.echo_sent: set[int] = set()
         self.ready_sent: set[int] = set()
@@ -130,7 +129,6 @@ class ChannelState:
         self._payloads: dict[tuple[int, bytes], Transaction] = {}
         self._initial_digest: dict[int, bytes] = {}
         self._blocked_at: dict[AgentId, int | None] = {i: None for i in self.peers}
-        self._arrivals = count()
 
     # -- initiation ---------------------------------------------------------
 
@@ -225,9 +223,9 @@ class ChannelState:
         for peer in peers:
             queue = self.out_queues[peer]
             while queue:
-                seq, _arr, msg = queue[0]
+                seq, _ready, msg = queue[0]
                 if min(self.last_echo[peer], self.last_ready[peer]) >= seq - 1:
-                    queue.pop(0)
+                    heapq.heappop(queue)
                     if self._blocked_at[peer] == seq:
                         self._blocked_at[peer] = None
                         self.events.append(
@@ -276,9 +274,9 @@ class ChannelState:
     def _enqueue_wave(self, kind: MessageKind, seq: int, payload: Transaction) -> None:
         # one echo and one ready per sequence, fanned out to every agent
         (self.echo_sent if kind is MessageKind.ECHO else self.ready_sent).add(seq)
-        msg = BroadcastMessage(self.owner, kind, seq, payload)
+        entry = (seq, kind is MessageKind.READY, BroadcastMessage(self.owner, kind, seq, payload))
         for peer in self.peers:
-            bisect.insort(self.out_queues[peer], (seq, next(self._arrivals), msg))
+            heapq.heappush(self.out_queues[peer], entry)
 
     def drain_events(self) -> list[dict]:
         out, self.events = self.events, []

@@ -6,15 +6,18 @@ index. Every check reads that view and nothing else, so a trace written to
 disk and read back verifies identically, and any other implementation
 emitting the same record format can be validated against the same checks.
 Liveness-flavored checks report UNKNOWN on non-quiescent runs instead of
-failing them.
+failing them. The utility accounting reads the same view.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .transaction import Transaction, TxId
+from .transaction import AgentId, Transaction, TxId, canonical_encode
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -115,7 +118,6 @@ class TraceView:
             self.agent_kinds = {a["id"]: a["kind"] for a in config["agents"]}
         except KeyError as exc:
             raise ValueError(_bad_record(config, exc.args[0])) from None
-        self.config = config
         self.compliant = sorted(
             i for i, kind in self.agent_kinds.items() if kind == "COMPLIANT"
         )
@@ -126,6 +128,7 @@ class TraceView:
         self.ledger_events: dict[int, list[dict]] = {i: [] for i in self.agent_kinds}
         # seqs each agent sent INITIALs for on its own channel
         self.own_initials: dict[int, set[int]] = {i: set() for i in self.agent_kinds}
+        self.sends: dict[int, int] = dict.fromkeys(self.agent_kinds, 0)
         self.delivers: list[dict] = []
         try:
             for rec in records:
@@ -141,8 +144,10 @@ class TraceView:
                         raise KeyError(rec["agent"])
                     self.delivers.append(rec)
                 elif kind == "SEND":
-                    if rec["mkind"] == "INITIAL" and rec["channel"] == rec["agent"]:
-                        self.own_initials[rec["agent"]].add(rec["seq"])
+                    agent = rec["agent"]
+                    self.sends[agent] += 1
+                    if rec["mkind"] == "INITIAL" and rec["channel"] == agent:
+                        self.own_initials[agent].add(rec["seq"])
                 elif kind == "END":
                     self.quiescent = bool(rec["quiescent"])
         except KeyError as exc:
@@ -153,9 +158,7 @@ class TraceView:
 
     def final_balances(self, agent: int) -> list[int]:
         snaps = self.snapshots[agent]
-        if snaps:
-            return snaps[-1]["B"]
-        return [self.initial_balance] * self.n
+        return snaps[-1]["B"] if snaps else [self.initial_balance] * self.n
 
 
 @dataclass(frozen=True)
@@ -364,6 +367,41 @@ def check_dependency_closure(view: TraceView) -> CheckReport:
     return CheckReport("dependency_closure", PASS)
 
 
+def _payload_digest(tx: dict) -> str | None:
+    """The RRB_DELIVER digest of an EXECUTE's payload; None if it cannot encode."""
+    try:
+        raw = canonical_encode(
+            tx["initiator"], tx["recipient"], tx["value"], tx["seq"], tx["deps"], tx["fees"]
+        )
+    except struct.error:
+        return None
+    return hashlib.sha256(raw).digest()[:8].hex()
+
+
+def check_delivery_provenance(view: TraceView) -> CheckReport:
+    """Each compliant agent executes (i, s) only after its own RRB_DELIVER on
+    channel i, seq s, and executes the payload whose digest it delivered."""
+    first: dict[tuple[int, int, int], dict] = {}
+    for rec in view.delivers:
+        first.setdefault((rec["agent"], rec["channel"], rec["seq"]), rec)
+    digests: dict[tuple[int, int], tuple[dict, str | None]] = {}  # one hash per payload
+    for agent in view.compliant:
+        for rec in view.executes[agent]:
+            txid = tuple(rec["txid"])
+            known = digests.get(txid)
+            if known is None or known[0] != rec["tx"]:
+                known = digests[txid] = (rec["tx"], _payload_digest(rec["tx"]))
+            deliver = first.get((agent, *txid))
+            if deliver is None or deliver["idx"] > rec["idx"]:
+                why = "without delivering it first"
+            elif deliver["digest"] != known[1]:
+                why = "with a payload it did not deliver"
+            else:
+                continue
+            return CheckReport("delivery_provenance", FAIL, f"agent {agent} executed {txid} {why}")
+    return CheckReport("delivery_provenance", PASS)
+
+
 ALL_CHECKS = (
     check_validity,
     check_agreement,
@@ -373,9 +411,49 @@ ALL_CHECKS = (
     check_conservation,
     check_rrb_uniqueness,
     check_dependency_closure,
+    check_delivery_provenance,
 )
 
 
 def run_all_checks(records: Iterable[dict]) -> list[CheckReport]:
     view = TraceView(records)
     return [check(view) for check in ALL_CHECKS]
+
+
+# -- utility accounting -------------------------------------------------------
+
+
+def as_fraction(c) -> Fraction:
+    """c exactly: a string as a fraction, a float through its shortest repr."""
+    return Fraction(str(c) if isinstance(c, float) else c)
+
+
+def utility_breakdown(view: TraceView, agent: AgentId) -> dict:
+    """Fee income, net usable payments and send count, from the agent's own
+    executions of its own transactions and its SENDs."""
+    fee_income = payments_net = 0
+    for rec in view.executes[agent]:
+        if rec["tx"]["initiator"] == agent:
+            fee_income += len(rec["converted"]) * view.epsilon
+            payments_net += rec["dep_credit"]
+            if rec["verdict"] == "committed":
+                payments_net -= rec["tx"]["value"]
+    return {"fee_income": fee_income, "payments_net": payments_net,
+            "messages_sent": view.sends[agent]}
+
+
+def utility(view: TraceView, agent: AgentId, c) -> Fraction:
+    """Fee income plus net payments, minus c per message sent."""
+    parts = utility_breakdown(view, agent)
+    return parts["fee_income"] + parts["payments_net"] - as_fraction(c) * parts["messages_sent"]
+
+
+def converted_credits(view: TraceView, agent: AgentId) -> set[TxId]:
+    """Fee credits the agent turned into balance: the `converted` lists of its
+    own executions of its own transactions, which its FEE_CONVERTs repeat."""
+    return {
+        _txid(t)
+        for rec in view.executes[agent]
+        if rec["tx"]["initiator"] == agent
+        for t in rec["converted"]
+    }

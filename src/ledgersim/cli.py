@@ -18,9 +18,9 @@ import multiprocessing
 import sys
 from pathlib import Path
 
-from .checker import PASS, run_all_checks
+from .checker import PASS, TraceView, run_all_checks, utility
 from .netsim import ConfigInvalid, ScriptAction, SimConfig, run
-from .strategy import AgentSpec, StrategyKind, make_behavior, utility
+from .strategy import AgentSpec, StrategyKind, make_behavior
 from .trace import read_trace, write_trace
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
             script=script,
             max_steps=int(raw.get("max_steps", 1_000_000)),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad scenario field: {exc}") from exc
     config.validate()
     return config
@@ -139,20 +139,17 @@ def print_reports(reports) -> None:
 
 
 def print_summary(result, config: SimConfig) -> None:
-    records = result.records
-    reference = next(
-        (s.id for s in config.agents if s.kind is StrategyKind.COMPLIANT),
-        config.agents[0].id,
-    )
-    balances = result.agents[reference].ledger.B
+    """Final balances, executions and utilities, all read from the trace."""
+    view = TraceView(result.records)
+    reference = (view.compliant or sorted(view.agent_kinds))[0]
+    balances = view.final_balances(reference)
     print(f"quiescent: {result.quiescent}  steps: {result.steps}")
     print(f"balances (view of agent {reference}): "
-          + " ".join(f"{i}:{balances[i]}" for i in sorted(balances)))
+          + " ".join(f"{i}:{b}" for i, b in enumerate(balances, 1)))
     print("agent  kind                executed  utility")
-    for spec in sorted(config.agents, key=lambda s: s.id):
-        executed = len(result.agents[spec.id].ledger.executed)
-        score = utility(records, spec.id, config.msg_cost_c)
-        print(f"{spec.id:<6} {spec.kind.value:<19} {executed:<9} {score}")
+    for agent, kind in sorted(view.agent_kinds.items()):
+        score = utility(view, agent, config.msg_cost_c)
+        print(f"{agent:<6} {kind:<19} {len(view.executes[agent]):<9} {score}")
 
 
 def cmd_run(args) -> int:
@@ -209,7 +206,7 @@ def cmd_sweep(args) -> int:
         if not seeds:
             raise ConfigInvalid("no seeds to sweep")
         build_config(raw, seeds[0])  # validate once before forking workers
-    except (OSError, json.JSONDecodeError, ConfigInvalid, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigInvalid, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     payloads = [(raw, seed) for seed in seeds]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .broadcast import BroadcastMessage, MessageKind, Thresholds
-from .strategy import AgentSpec, AgentStack, as_fraction
+from .checker import as_fraction
+from .strategy import AgentSpec, AgentStack
 from .trace import TraceRecorder
 from .transaction import AgentId, Money
 

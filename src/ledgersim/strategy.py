@@ -1,13 +1,10 @@
-"""Pluggable agent behaviors and the utility accounting built over traces.
+"""Pluggable agent behaviors.
 
 The compliant behavior wires the broadcast layer and the ledger together
 verbatim. Byzantine variants craft deviant traffic (equivocation, overdraft,
 bad dependency references, silence); the rational variants deviate exactly
 where a self-interested agent might: withholding echo/ready forwards on a
 channel, or skipping execution of other agents' transactions.
-
-Utility is recomputed purely from trace records: converted fee credits plus
-net usable payments, minus a per-message cost for network sends.
 """
 
 from __future__ import annotations
@@ -15,10 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping
 
-from .broadcast import BroadcastMessage, ChannelState, MessageKind, SeqMismatch, Thresholds
+from .broadcast import BroadcastMessage, ChannelState, MessageKind, Thresholds
 from .ledger import ExecutionReport, InsufficientBalance, LedgerState
 from .trace import TraceRecorder, tx_fields, txid_field
 from .transaction import AgentId, Transaction, TxId
@@ -77,10 +73,7 @@ class AgentStack:
     def issue_pending(self, behavior: "CompliantBehavior") -> list:
         outputs: list = []
         while self.pending and self.channel_free():
-            action = self.pending.popleft()
-            minted = behavior.mint(self, action)
-            if minted:
-                outputs.extend(minted)
+            outputs.extend(behavior.mint(self, self.pending.popleft()) or ())
         return outputs
 
     def flush_channel_events(self, channel: AgentId) -> None:
@@ -299,10 +292,7 @@ class OverdraftBehavior(CompliantBehavior):
     def mint(self, stack, action):
         value = stack.ledger.B[stack.id] + self.extra
         tx = Transaction(stack.id, int(action["to"]), value, stack.own_channel().next_seq)
-        try:
-            return stack.own_channel().broadcast(tx)
-        except SeqMismatch:
-            return None
+        return stack.own_channel().broadcast(tx)
 
 
 class BadDepsBehavior(CompliantBehavior):
@@ -330,10 +320,7 @@ class BadDepsBehavior(CompliantBehavior):
             stack.own_channel().next_seq,
             deps=frozenset({bad_ref}),
         )
-        try:
-            return stack.own_channel().broadcast(tx)
-        except SeqMismatch:
-            return None
+        return stack.own_channel().broadcast(tx)
 
 
 class FreeriderBehavior(CompliantBehavior):
@@ -393,65 +380,3 @@ def make_behavior(spec: AgentSpec) -> CompliantBehavior:
     """The behavior of `spec`; ValueError naming the param if one is bad."""
     return _BEHAVIORS[spec.kind](spec.params)
 
-
-# -- utility accounting ------------------------------------------------------
-
-
-def as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, float):
-        return Fraction(str(c))
-    return Fraction(c)
-
-
-def utility_breakdown(records: list[dict], agent: AgentId) -> dict:
-    """Fee income, net usable payments, and send count, from the trace alone."""
-    epsilon = 1
-    fee_income = 0
-    dep_credit = 0
-    value_out = 0
-    sends = 0
-    for rec in records:
-        kind = rec["kind"]
-        if kind == "CONFIG":
-            epsilon = rec["epsilon"]
-        elif kind == "SEND" and rec["agent"] == agent:
-            sends += 1
-        elif (
-            kind == "EXECUTE"
-            and rec["agent"] == agent
-            and rec["tx"]["initiator"] == agent
-        ):
-            dep_credit += rec["dep_credit"]
-            fee_income += len(rec["converted"]) * epsilon
-            if rec["verdict"] == "committed":
-                value_out += rec["tx"]["value"]
-    return {
-        "fee_income": fee_income,
-        "payments_net": dep_credit - value_out,
-        "messages_sent": sends,
-    }
-
-
-def utility(records: list[dict], agent: AgentId, c) -> Fraction:
-    parts = utility_breakdown(records, agent)
-    return (
-        Fraction(parts["fee_income"] + parts["payments_net"])
-        - as_fraction(c) * parts["messages_sent"]
-    )
-
-
-def converted_credits(records: list[dict], agent: AgentId) -> set[TxId]:
-    """Fee credits the agent turned into balance, per its own execution records."""
-    out: set[TxId] = set()
-    for rec in records:
-        if (
-            rec["kind"] == "FEE_CONVERT"
-            and rec["agent"] == agent
-            and rec["initiator"] == agent
-        ):
-            out.update(TxId(p, s) for p, s in rec["converted"])
-    return out

@@ -31,9 +31,10 @@ from ledgersim.checker import (
     check_rrb_uniqueness,
     dependency_closure,
     chain_height,
+    converted_credits,
+    utility,
 )
 from ledgersim.cli import build_config
-from ledgersim.strategy import converted_credits, utility
 from ledgersim.trace import dump_record
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
@@ -227,9 +228,10 @@ def test_criterion_7_incentive_ordering():
     missed_conversion = 0
     for seed in range(PAIR_SEEDS):
         fr_records = run_records(incentive_config(seed, freerider=True))
-        tw_records = run_records(incentive_config(seed, freerider=False))
-        fr_util = utility(fr_records, 4, c)
-        tw_util = utility(tw_records, 4, c)
+        fr_view = TraceView(fr_records)
+        tw_view = TraceView(run_records(incentive_config(seed, freerider=False)))
+        fr_util = utility(fr_view, 4, c)
+        tw_util = utility(tw_view, 4, c)
         ordered += fr_util < tw_util
         retaliated = any(
             r["kind"] == "RETAL_BLOCK" and r["peer"] == 4 and r["channel"] == 1
@@ -237,8 +239,8 @@ def test_criterion_7_incentive_ordering():
         )
         if retaliated:
             fired += 1
-            fr_converted = converted_credits(fr_records, 4)
-            tw_converted = converted_credits(tw_records, 4)
+            fr_converted = converted_credits(fr_view, 4)
+            tw_converted = converted_credits(tw_view, 4)
             missed_conversion += bool(tw_converted - fr_converted)
     assert fired > 0
     assert missed_conversion == fired, f"{missed_conversion}/{fired} seeds missed a credit"

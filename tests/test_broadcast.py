@@ -1,5 +1,6 @@
 import bisect
 import random
+from itertools import count
 
 import pytest
 
@@ -303,14 +304,16 @@ def test_random_storm_preserves_instance_invariants(seed):
             assert ch.last_echo[peer] >= prev_echo[peer]
             assert ch.last_ready[peer] >= prev_ready[peer]
         prev_echo, prev_ready = dict(ch.last_echo), dict(ch.last_ready)
-        # every queued in-entry waits behind a gap; out-queues stay sorted by seq
+        # every queued in-entry waits behind a gap; out-queues are heaps keyed
+        # (seq, is READY), and no key repeats
         for queues, last in ((ch.in_echo_queues, ch.last_echo),
                              (ch.in_ready_queues, ch.last_ready)):
             for peer, entries in queues.items():
                 assert all(seq > last[peer] + 1 for seq in entries)
         for entries in ch.out_queues.values():
-            seqs = [e[0] for e in entries]
-            assert seqs == sorted(seqs)
+            keys = [e[:2] for e in entries]
+            assert all(keys[(k - 1) // 2] <= keys[k] for k in range(1, len(keys)))
+            assert len(set(keys)) == len(keys)
         waves = len(ch.echo_sent) + len(ch.ready_sent)
         assert waves <= 2 * 5
     # tallies only contain distinct peers, and at most one digest delivered per seq
@@ -324,13 +327,15 @@ def test_random_storm_preserves_instance_invariants(seed):
 
 
 class FullRescanChannel(ChannelState):
-    """The reference receive path: sorted-list in-queues, every peer drained,
-    every tallied key rescanned and every peer gated on each receipt."""
+    """The reference receive path: sorted-list in- and out-queues with an
+    arrival counter breaking ties, every peer drained, every tallied key
+    rescanned and every peer gated on each receipt."""
 
     def __init__(self, owner, self_id, thresholds):
         super().__init__(owner, self_id, thresholds)
         self.in_echo_queues = {i: [] for i in self.peers}
         self.in_ready_queues = {i: [] for i in self.peers}
+        self._arrivals = count()
 
     def on_receive(self, frm, msg):
         if msg.channel != self.owner:
@@ -382,6 +387,31 @@ class FullRescanChannel(ChannelState):
                 continue
             break
 
+    def _enqueue_wave(self, kind, seq, payload):
+        (self.echo_sent if kind is MessageKind.ECHO else self.ready_sent).add(seq)
+        msg = BroadcastMessage(self.owner, kind, seq, payload)
+        for peer in self.peers:
+            bisect.insort(self.out_queues[peer], (seq, next(self._arrivals), msg))
+
+    def flush_out_queue(self, peers):
+        released = []
+        for peer in peers:
+            queue = self.out_queues[peer]
+            while queue:
+                seq, _arr, msg = queue[0]
+                if min(self.last_echo[peer], self.last_ready[peer]) >= seq - 1:
+                    queue.pop(0)
+                    if self._blocked_at[peer] == seq:
+                        self._blocked_at[peer] = None
+                        self.events.append({"kind": "RETAL_UNBLOCK", "peer": peer, "seq": seq})
+                    released.append((peer, msg))
+                else:
+                    if self._blocked_at[peer] != seq:
+                        self._blocked_at[peer] = seq
+                        self.events.append({"kind": "RETAL_BLOCK", "peer": peer, "seq": seq})
+                    break
+        return released
+
 
 def storm(rng, n, steps):
     """Echo/ready/initial traffic for channel 1 with gaps, duplicates,
@@ -398,8 +428,9 @@ def storm(rng, n, steps):
 
 
 def channel_state(ch):
-    # the reference also draws arrival counters for in-queue entries
-    out = {peer: [(seq, m) for seq, _arr, m in q] for peer, q in ch.out_queues.items()}
+    # out-queue contents in release order, from a heap or from a sorted list
+    out = {peer: [(e[0], e[-1]) for e in sorted(q, key=lambda e: e[:2])]
+           for peer, q in ch.out_queues.items()}
     return (ch.echo_tally, ch.ready_tally, ch.last_echo, ch.last_ready, ch.delivered,
             ch.echo_sent, ch.ready_sent, out, ch.next_seq)
 

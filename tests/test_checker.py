@@ -1,5 +1,7 @@
 import copy
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from ledgersim.checker import (
     chain_height,
     check_agreement,
     check_conservation,
+    check_delivery_provenance,
     check_dependency_closure,
     check_no_debt,
     check_rrb_uniqueness,
@@ -19,6 +22,7 @@ from ledgersim.checker import (
     check_validity,
     dependency_closure,
 )
+from ledgersim.cli import build_config
 from ledgersim.trace import tx_fields, txid_field
 from ledgersim.transaction import Transaction, TxId
 
@@ -276,6 +280,54 @@ def test_mutated_trace_fails_its_check(name):
     report = check(TraceView(records))
     assert report.status == "FAIL"
     assert detail in report.detail
+
+
+# -- delivery provenance on the shipped all-good trace ---------------------------------
+
+
+def allgood_records():
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "allgood.json"
+    records = run_records(build_config(json.loads(path.read_text())))
+    # idx 52 is agent 4's delivery of (1, 1), which it executes later
+    assert {k: records[52][k] for k in ("kind", "agent", "channel", "seq")} == {
+        "kind": "RRB_DELIVER", "agent": 4, "channel": 1, "seq": 1
+    }
+    return records
+
+
+def delay_delivery(records):
+    # agent 4 delivers (1, 1) right after executing it
+    deliver = records.pop(52)
+    k = find(records, "EXECUTE", 4, [1, 1])
+    records.insert(k + 1, dict(deliver, idx=records[k]["idx"] + 1))
+
+
+@pytest.mark.parametrize(
+    "edit,failing,detail",
+    [
+        (lambda rs: rs.pop(52), ["delivery_provenance"], "without delivering it first"),
+        (lambda rs: rs[52].update(agent=3), ["delivery_provenance"],
+         "without delivering it first"),
+        (delay_delivery, ["delivery_provenance"], "without delivering it first"),
+        (lambda rs: rs[52].update(digest="f" * 16), ["rrb_uniqueness", "delivery_provenance"],
+         "with a payload it did not deliver"),
+    ],
+    ids=["deleted", "moved-to-agent-3", "after-execute", "changed-digest"],
+)
+def test_provenance_ties_each_execution_to_its_own_delivery(edit, failing, detail):
+    records = allgood_records()
+    assert check_delivery_provenance(TraceView(records)).status == "PASS"
+    edit(records)
+    assert [r.name for r in L.run_all_checks(records) if r.status != "PASS"] == failing
+    report = check_delivery_provenance(TraceView(records))
+    assert report.detail == f"agent 4 executed (1, 1) {detail}"
+
+
+def test_provenance_fails_on_a_payload_the_wire_cannot_encode():
+    records = allgood_records()
+    records[find(records, "EXECUTE", 4, [1, 1])]["tx"]["value"] = -1
+    report = check_delivery_provenance(TraceView(records))
+    assert report.detail == "agent 4 executed (1, 1) with a payload it did not deliver"
 
 
 # -- the direct-requirement check equals the full-closure check ---------------------

@@ -216,9 +216,10 @@ def pay_to(to, amount=5):
         ({"d_mx": 5}, "unknown scenario keys: d_mx"),
         ({"agents": [{"id": i, "kind": "COMPLIANT", "params": [1]} for i in range(1, 5)]},
          "params must be an object"),
+        ({"d_max": float("inf")}, "cannot convert float infinity to integer"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "bad-msg-cost",
-         "string-boolean", "unknown-key", "params-not-object"],
+         "string-boolean", "unknown-key", "params-not-object", "infinite-d_max"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, over, phrase):
     path = write_scenario(tmp_path, minimal_scenario(**over))
@@ -235,6 +236,16 @@ def test_empty_seed_list_exits_two(tmp_path, capsys):
     assert main(["sweep", write_scenario(tmp_path, minimal_scenario(), "b.json"),
                  "--seeds", "5..1"]) == 2
     assert "no seeds to sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_infinite_seed_exits_two_with_a_message(tmp_path, capsys, verb):
+    body = minimal_scenario(seeds=[float("inf")])
+    del body["seed"]
+    path = write_scenario(tmp_path, body)
+    assert "Infinity" in Path(path).read_text()
+    assert main([verb, path]) == 2
+    assert "cannot convert float infinity to integer" in capsys.readouterr().err
 
 
 def test_sweep_aggregates_seeds(tmp_path, capsys):

@@ -1,11 +1,18 @@
 from fractions import Fraction
 
+import pytest
+
 import ledgersim as L
-from helpers import backfill, make_config, pay, run_records
+from helpers import backfill, incentive_script, make_config, pay, run_records
 from ledgersim.broadcast import ChannelState, MessageKind, Thresholds
-from ledgersim.checker import TraceView, check_conservation
+from ledgersim.checker import (
+    TraceView,
+    check_conservation,
+    converted_credits,
+    utility,
+    utility_breakdown,
+)
 from ledgersim.ledger import LedgerState
-from ledgersim.strategy import converted_credits, utility, utility_breakdown
 from ledgersim.transaction import TxId
 
 
@@ -28,9 +35,10 @@ def test_silent_agent_sends_nothing_but_others_converge():
     assert not kinds_of(records, kind="SEND", agent=4)
     delivered = {r["agent"] for r in kinds_of(records, kind="RRB_DELIVER", seq=1)}
     assert delivered == {1, 2, 3}
-    parts = utility_breakdown(records, 4)
+    view = TraceView(records)
+    parts = utility_breakdown(view, 4)
     assert parts == {"fee_income": 0, "payments_net": 0, "messages_sent": 0}
-    assert utility(records, 4, "1/100") <= 0
+    assert utility(view, 4, "1/100") <= 0
 
 
 # -- equivocation -----------------------------------------------------------------
@@ -160,6 +168,25 @@ def test_retaliation_is_scoped_to_the_one_channel():
     assert early
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_withholding_the_last_seq_goes_unpunished(seed):
+    """A known limit of the model, not a protocol fault: the retaliation gate
+    withholds only traffic for seq s+1, so the final seq of a finite run
+    (seq 5 on channel 1 here) can be withheld for free. This is the
+    last-round effect of finite repeated games, which BAR fault tolerance
+    (Aiyer et al., SOSP 2005) also faces."""
+    def run_agent_4(overrides):
+        config = make_config(seed=seed, d_min=1, d_max=10, script=incentive_script(),
+                             overrides=overrides)
+        return run_records(config)
+
+    withhold_last = {"channels": [1], "seqs": [5]}
+    deviant = run_agent_4({4: (L.StrategyKind.RATIONAL_FREERIDER, withhold_last)})
+    twin = run_agent_4({})
+    assert utility(TraceView(deviant), 4, "1/100") > utility(TraceView(twin), 4, "1/100")
+    assert [r.status for r in L.run_all_checks(deviant)] == ["PASS"] * len(L.checker.ALL_CHECKS)
+
+
 # -- lazy execution -------------------------------------------------------------------
 
 
@@ -180,7 +207,11 @@ def test_lazy_agent_never_uses_its_incoming_payment():
 
 
 def test_utility_matches_hand_arithmetic():
-    records = [{"tick": 0, "idx": 0, "kind": "CONFIG", "epsilon": 1}]
+    agents = [{"id": i, "kind": "COMPLIANT"} for i in range(1, 10)]
+    records = [
+        {"tick": 0, "idx": 0, "kind": "CONFIG", "n": 9, "epsilon": 1,
+         "initial_balance": 1000, "agents": agents}
+    ]
     records.append(
         {
             "tick": 1,
@@ -195,10 +226,12 @@ def test_utility_matches_hand_arithmetic():
         }
     )
     for k in range(120):
-        records.append({"tick": 2, "idx": 2 + k, "kind": "SEND", "agent": 9, "to": 1})
+        records.append({"tick": 2, "idx": 2 + k, "kind": "SEND", "agent": 9, "to": 1,
+                        "channel": 1, "mkind": "ECHO", "seq": 1})
     # 8 credits at epsilon=1 minus 120 messages at 1/100 each
-    assert utility(records, 9, "1/100") == Fraction(8) - Fraction(120, 100)
-    assert utility(records, 9, "1/100") == Fraction(34, 5)
+    view = TraceView(records)
+    assert utility(view, 9, "1/100") == Fraction(8) - Fraction(120, 100)
+    assert utility(view, 9, "1/100") == Fraction(34, 5)
 
 
 def test_converted_credit_sets_come_from_own_records():
@@ -208,7 +241,7 @@ def test_converted_credit_sets_come_from_own_records():
             script=[pay(0, 1, 2, 5), pay(20, 1, 3, 5), pay(60, 2, 3, 1, convert_fees=True)],
         )
     )
-    credits = converted_credits(records, 2)
+    credits = converted_credits(TraceView(records), 2)
     assert credits == {TxId(1, 1), TxId(1, 2)}
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import multiprocessing
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .checker import PASS, TraceView, run_all_checks, utility
@@ -126,8 +127,10 @@ def scenario_seeds(raw: dict, flag: str | None) -> list[int]:
 
 
 def load_scenario(path: str) -> dict:
-    text = Path(path).read_text()
-    return json.loads(text)
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("scenario must be a JSON object")
+    return raw
 
 
 def print_reports(reports) -> None:
@@ -159,10 +162,15 @@ def cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError, ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    result = run(config)
-    if args.trace:
-        with open(args.trace, "w") as fp:
-            write_trace(result.records, fp)
+    try:
+        trace_fp = open(args.trace, "w") if args.trace else nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write trace: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    with trace_fp:
+        result = run(config)
+        if args.trace:
+            write_trace(result.records, trace_fp)
     code = EXIT_OK
     if args.check:
         reports = run_all_checks(result.records)

@@ -23,6 +23,9 @@ from .trace import TraceRecorder
 from .transaction import AgentId, Money
 
 _KIND_CODE = {MessageKind.INITIAL: 0, MessageKind.ECHO: 1, MessageKind.READY: 2}
+# a plain dict lookup; the Enum `value` property runs Python code on every SEND and RECV
+_MKIND = {kind: kind.value for kind in MessageKind}
+_DELAY_FIELDS = struct.Struct("<QQQQB")
 
 
 class ConfigInvalid(Exception):
@@ -122,7 +125,8 @@ class Simulator:
         self._heap: list = []
         self._seq = count()
         self._fifo_floor: dict[tuple[AgentId, AgentId], int] = {}
-        self._seed_key = config.seed.to_bytes(8, "little")
+        # keyed once; each SEND hashes on a copy
+        self._delay_hash = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little"))
         self.recorder.emit(
             "CONFIG",
             n=config.n,
@@ -167,7 +171,7 @@ class Simulator:
                         agent=item.to,
                         frm=item.frm,
                         channel=item.msg.channel,
-                        mkind=item.msg.kind.value,
+                        mkind=_MKIND[item.msg.kind],
                         seq=item.msg.seq,
                         digest=item.msg.payload.digest_hex,
                     )
@@ -188,7 +192,7 @@ class Simulator:
                     agent=frm,
                     to=to,
                     channel=msg.channel,
-                    mkind=msg.kind.value,
+                    mkind=_MKIND[msg.kind],
                     seq=msg.seq,
                     digest=msg.payload.digest_hex,
                 )
@@ -203,8 +207,8 @@ class Simulator:
             )
 
     def _delay(self, frm: AgentId, to: AgentId, msg: BroadcastMessage) -> int:
-        h = hashlib.blake2b(digest_size=8, key=self._seed_key)
-        h.update(struct.pack("<QQQQB", frm, to, msg.channel, msg.seq, _KIND_CODE[msg.kind]))
+        h = self._delay_hash.copy()
+        h.update(_DELAY_FIELDS.pack(frm, to, msg.channel, msg.seq, _KIND_CODE[msg.kind]))
         h.update(msg.payload.digest)
         span = self.config.d_max - self.config.d_min + 1
         return self.config.d_min + int.from_bytes(h.digest(), "little") % span

@@ -20,7 +20,9 @@ keeps. All other kinds are events:
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from typing import IO, Callable, Iterable, Iterator
 
 from .transaction import Transaction, TxId
 
@@ -55,21 +57,67 @@ class TraceRecorder:
         self._idx = 0
 
     def emit(self, kind: str, **fields) -> dict:
-        record = {"tick": self.tick, "idx": self._idx, "kind": kind}
-        record.update(fields)
+        """Record `fields` plus tick, idx and kind; the record is the `fields` dict.
+
+        Its keys come in call order with tick, idx and kind last. Written
+        traces sort keys, so that order never reaches a file.
+        """
+        fields["tick"] = self.tick
+        fields["idx"] = self._idx
+        fields["kind"] = kind
         self._idx += 1
-        self.records.append(record)
-        return record
+        self.records.append(fields)
+        return fields
+
+
+@lru_cache(maxsize=256)
+def _shape_encoder(shape: tuple) -> Callable[[dict], str]:
+    """Compile `_ENCODER.encode` for dicts whose keys, in iteration order, are `shape`.
+
+    The compiled function writes the keys sorted. Each call checks each value's
+    type: an exact int is formatted inline, an exact str is escaped, and any
+    other value goes through `_ENCODER`, so a shape holds no assumption about
+    its values. Keys and their encoded prefixes reach the code as arguments and
+    never as source text, because records read back from a file also get here.
+    A shape with a key that is not exactly a str keeps `_ENCODER.encode`.
+    """
+    if any(type(key) is not str for key in shape):
+        return _ENCODER.encode
+    args = {"esc": encode_basestring_ascii, "enc": _ENCODER.encode}
+    lines, fields = [], ""
+    for i, key in enumerate(sorted(shape)):
+        args[f"k{i}"] = key
+        args[f"p{i}"] = ("," if i else "") + encode_basestring_ascii(key) + ":"
+        lines += [
+            f"        v{i} = record[k{i}]",
+            f"        if type(v{i}) is not int:",
+            f"            v{i} = esc(v{i}) if type(v{i}) is str else enc(v{i})",
+        ]
+        fields += f"{{p{i}}}{{v{i}}}"
+    source = "\n".join([
+        f"def make({', '.join(args)}):",
+        "    def encode(record):",
+        *lines,
+        f'        return f"{{{{{fields}}}}}"',  # the record's own braces, escaped
+        "    return encode",
+    ])
+    namespace: dict = {}
+    exec(source, {"__builtins__": {"type": type, "int": int, "str": str}}, namespace)
+    return namespace["make"](**args)
 
 
 def dump_record(record: dict) -> str:
-    return _ENCODER.encode(record)
+    """One record as sorted-key compact JSON, the same text `_ENCODER.encode` gives."""
+    return _shape_encoder(tuple(record))(record)
 
 
 def write_trace(records: Iterable[dict], fp: IO[str]) -> None:
+    # a line and its newline in two writes: one concatenated write per record
+    # raised the benchmark's peak RSS by 2 MB on wide_n16
+    write = fp.write
     for record in records:
-        fp.write(dump_record(record))
-        fp.write("\n")
+        write(dump_record(record))
+        write("\n")
 
 
 def read_trace(fp: IO[str]) -> Iterator[dict]:

@@ -68,6 +68,16 @@ def test_missing_file_exits_two(capsys):
     assert main(["run", "/nonexistent/path.json"]) == 2
 
 
+def test_unwritable_trace_path_exits_two_before_simulating(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("simulated although the trace cannot be written")
+
+    monkeypatch.setattr("ledgersim.cli.run", no_run)
+    trace = tmp_path / "no" / "such" / "dir" / "t.jsonl"
+    assert main(["run", str(SCENARIOS / "allgood.json"), "--trace", str(trace)]) == 2
+    assert "error: cannot write trace: " in capsys.readouterr().err
+
+
 def test_nonquiescent_exits_three(tmp_path, capsys):
     path = write_scenario(tmp_path, minimal_scenario(max_steps=4))
     code = main(["run", path])
@@ -206,24 +216,32 @@ def pay_to(to, amount=5):
 
 
 @pytest.mark.parametrize(
-    "over,phrase",
+    "body,phrase",
     [
-        ({"script": pay_to(9)}, "pays unknown agent 9"),
-        ({"script": pay_to(1)}, "pays itself"),
-        ({"script": pay_to(2, amount=-5)}, "negative amount"),
-        ({"msg_cost_c": "abc"}, "msg_cost_c"),
-        ({"fifo_channels": "false"}, "fifo_channels must be true or false"),
-        ({"d_mx": 5}, "unknown scenario keys: d_mx"),
-        ({"agents": [{"id": i, "kind": "COMPLIANT", "params": [1]} for i in range(1, 5)]},
+        (minimal_scenario(script=pay_to(9)), "pays unknown agent 9"),
+        (minimal_scenario(script=pay_to(1)), "pays itself"),
+        (minimal_scenario(script=pay_to(2, amount=-5)), "negative amount"),
+        (minimal_scenario(msg_cost_c="abc"), "msg_cost_c"),
+        (minimal_scenario(fifo_channels="false"), "fifo_channels must be true or false"),
+        (minimal_scenario(d_mx=5), "unknown scenario keys: d_mx"),
+        (minimal_scenario(agents=[{"id": i, "kind": "COMPLIANT", "params": [1]}
+                                  for i in range(1, 5)]),
          "params must be an object"),
-        ({"d_max": float("inf")}, "cannot convert float infinity to integer"),
+        (minimal_scenario(d_max=float("inf")), "cannot convert float infinity to integer"),
+        (5, "scenario must be a JSON object"),
+        (None, "scenario must be a JSON object"),
+        ([1], "scenario must be a JSON object"),
+        ("abc", "scenario must be a JSON object"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "bad-msg-cost",
-         "string-boolean", "unknown-key", "params-not-object", "infinite-d_max"],
+         "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
+         "number", "null", "array", "string"],
 )
-def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, over, phrase):
-    path = write_scenario(tmp_path, minimal_scenario(**over))
+def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
+    path = write_scenario(tmp_path, body)
     assert main(["run", path, "--check", "--summary"]) == 2
+    assert phrase in capsys.readouterr().err
+    assert main(["sweep", path]) == 2
     assert phrase in capsys.readouterr().err
 
 

@@ -1,15 +1,20 @@
-"""The streaming trace reader: round trips, malformed lines, laziness."""
+"""The trace writer and the streaming reader: the compiled encoder against the
+stdlib encoder, round trips, malformed lines, laziness."""
 
 import io
 import json
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ledgersim.broadcast import MessageKind
 from ledgersim.checker import run_all_checks
 from ledgersim.cli import build_config, load_scenario
 from ledgersim.netsim import run
-from ledgersim.trace import read_trace, write_trace
+from ledgersim.trace import _shape_encoder, dump_record, read_trace, write_trace
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 
@@ -84,3 +89,94 @@ def test_reader_is_lazy():
     assert next(records) == json.loads(B)
     with pytest.raises(ValueError, match="line 3 column 2"):
         next(records)
+
+
+# The reference: what a written trace line must equal, byte for byte.
+REFERENCE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+class LoudInt(int):
+    def __str__(self):
+        return "loud"
+
+    __repr__ = __str__
+
+
+class LoudStr(str):
+    def __str__(self):
+        return "loud"
+
+
+TRICKY_KEYS = [
+    "", '"', "\\", "{", "}", "{}", '"}', ":", ",", "\u00e9", "\u65e5\u672c", "\U0001f600",
+    "\n", "\x00", "\x7f", "tick", "p0", "k0", "v0", "record", "{p0}", "{k0!r}",
+    "') or __import__('os').system('true') #", "\"; raise SystemExit; \"", "lambda: 0",
+]
+keys = st.one_of(st.sampled_from(TRICKY_KEYS), st.text(max_size=6))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1f)),
+    st.sampled_from(list(MessageKind) + list(Level)),
+    st.builds(LoudInt, st.integers()),
+    st.builds(LoudStr, st.text(max_size=4)),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+    max_leaves=8,
+)
+records = st.dictionaries(keys, values, max_size=8)
+
+
+def encoded_or_error(encode, record):
+    try:
+        return encode(record)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(deadline=None)
+@given(st.lists(records, max_size=6))
+def test_writer_matches_the_stdlib_encoder(batch):
+    for record in batch:
+        assert dump_record(record) == REFERENCE.encode(record)
+    buf = io.StringIO()
+    write_trace(batch, buf)
+    assert buf.getvalue() == "".join(REFERENCE.encode(r) + "\n" for r in batch)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.one_of(keys, st.integers(), st.booleans(), st.none(),
+                                 st.floats()), values, max_size=4))
+def test_non_string_keys_encode_or_fail_like_the_stdlib(record):
+    assert encoded_or_error(dump_record, record) == encoded_or_error(REFERENCE.encode, record)
+
+
+@settings(deadline=None)
+@given(st.lists(keys, min_size=1, max_size=4, unique=True),
+       st.lists(st.lists(values, min_size=4, max_size=4), min_size=2, max_size=6))
+def test_a_shape_assumes_nothing_about_its_values(shape, rows):
+    for row in rows:
+        record = dict(zip(shape, row))
+        assert dump_record(record) == REFERENCE.encode(record)
+
+
+def test_more_shapes_than_the_cache_holds():
+    count = 2 * _shape_encoder.cache_info().maxsize + 1
+    batch = [{f"k{i}": i, "kind": "SEND", "v": [i, None]} for i in range(count)]
+    for _ in range(2):
+        buf = io.StringIO()
+        write_trace(batch, buf)
+        assert buf.getvalue() == "".join(REFERENCE.encode(r) + "\n" for r in batch)
+    assert _shape_encoder.cache_info().currsize <= _shape_encoder.cache_info().maxsize

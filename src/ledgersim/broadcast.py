@@ -7,11 +7,12 @@ is withheld from any peer that still owes its own echo and ready for an
 earlier sequence, and a payload is delivered once 2t+1 distinct peers have
 signalled ready for the same (seq, digest).
 
-A receipt costs only what it changed: it drains the sender's queues alone,
-re-evaluates only the (seq, digest) keys that drain consumed, and re-gates
-only the sender unless it enqueued a new wave. Every quorum condition is
-monotone in tally size and every other queue and key was settled when it
-last changed, so this equals draining, rescanning and gating everything.
+A receipt costs only what it changed: it drains the sender's queue of the
+arriving kind alone, re-evaluates only the (seq, digest) keys that drain
+consumed, and re-gates only the sender unless it enqueued a new wave. Every
+quorum condition is monotone in tally size and every other queue and key was
+settled when it last changed, so this equals draining, rescanning and gating
+everything.
 
 State transitions are pure functions of (state, input); nothing here touches
 a clock or a socket. The simulator feeds messages in and schedules whatever
@@ -172,13 +173,12 @@ class ChannelState:
             if msg.seq not in self.echo_sent:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
         else:
-            if msg.kind is MessageKind.ECHO:
-                queue, last = self.in_echo_queues[frm], self.last_echo
-            else:
-                queue, last = self.in_ready_queues[frm], self.last_ready
-            if msg.seq > last[frm]:  # a consumed seq is a duplicate
+            echo = msg.kind is MessageKind.ECHO
+            if msg.seq > (self.last_echo if echo else self.last_ready)[frm]:
+                # a consumed seq is a duplicate
+                queue = (self.in_echo_queues if echo else self.in_ready_queues)[frm]
                 queue.setdefault(msg.seq, (msg.payload.digest, msg.payload))
-            delivered = self._evaluate_quorums(self.flush_in_queues(frm))
+            delivered = self._evaluate_quorums(self.flush_in_queues(frm, msg.kind))
         # a new wave reaches every out-queue; otherwise only frm's gate moved
         waved = len(self.echo_sent) + len(self.ready_sent) != waves
         outbound = self.flush_out_queue(self.peers if waved else (frm,))
@@ -186,24 +186,28 @@ class ChannelState:
 
     # -- queue machinery ----------------------------------------------------
 
-    def flush_in_queues(self, peer: AgentId) -> list[tuple[int, bytes]]:
-        """Consume peer's queued echo/ready entries strictly in sequence order.
+    def flush_in_queues(self, peer: AgentId, kind: MessageKind) -> list[tuple[int, bytes]]:
+        """Consume peer's queued entries of `kind` strictly in sequence order.
 
-        A gap (no entry for last+1) stops consumption for that peer until
-        the missing sequence arrives. Returns the (seq, digest) keys whose
-        tallies grew, ascending.
+        A gap (no entry for last+1) stops consumption until the missing
+        sequence arrives. A queue grows only on a receipt of its own kind,
+        which drains it to its gap, so the other kind's queue has nothing to
+        give. Returns the (seq, digest) keys whose tallies grew, ascending.
         """
-        keys = self._drain(self.in_echo_queues[peer], self.last_echo, peer, self.echo_tally)
-        keys += self._drain(self.in_ready_queues[peer], self.last_ready, peer, self.ready_tally)
-        return sorted(set(keys))
-
-    def _drain(self, queue: dict, last: dict, peer: AgentId, tally: dict) -> list:
+        if kind is MessageKind.ECHO:
+            queue, last, tally = self.in_echo_queues[peer], self.last_echo, self.echo_tally
+        else:
+            queue, last, tally = self.in_ready_queues[peer], self.last_ready, self.ready_tally
         consumed = []
         seq = last[peer] + 1
         while seq in queue:
             dig, payload = queue.pop(seq)
             key = (seq, dig)
-            tally.setdefault(key, set()).add(peer)
+            voters = tally.get(key)
+            if voters is None:
+                tally[key] = {peer}
+            else:
+                voters.add(peer)
             self._payloads.setdefault(key, payload)
             consumed.append(key)
             seq += 1

@@ -28,6 +28,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONQUIESCENT = 3
+# bad scenario input; json's errors and UnicodeDecodeError are ValueErrors
+SCENARIO_ERRORS = (OSError, ValueError, OverflowError, ConfigInvalid)
 
 
 SCENARIO_KEYS = frozenset({
@@ -127,7 +129,7 @@ def scenario_seeds(raw: dict, flag: str | None) -> list[int]:
 
 
 def load_scenario(path: str) -> dict:
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ConfigInvalid("scenario must be a JSON object")
     return raw
@@ -159,7 +161,7 @@ def cmd_run(args) -> int:
     try:
         raw = load_scenario(args.scenario)
         config = build_config(raw, args.seed)
-    except (OSError, json.JSONDecodeError, ConfigInvalid) as exc:
+    except SCENARIO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -214,7 +216,7 @@ def cmd_sweep(args) -> int:
         if not seeds:
             raise ConfigInvalid("no seeds to sweep")
         build_config(raw, seeds[0])  # validate once before forking workers
-    except (OSError, json.JSONDecodeError, ConfigInvalid, ValueError, OverflowError) as exc:
+    except SCENARIO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     payloads = [(raw, seed) for seed in seeds]

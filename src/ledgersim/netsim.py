@@ -6,6 +6,11 @@ after it was sent. All misbehavior lives in agent strategies. Per-message
 delays come from a keyed hash of the message identity, so one extra or
 missing send never perturbs any other draw and same-seed counterfactual runs
 stay comparable. Self-addressed messages loop back on the same tick.
+
+Pending events live in a calendar queue: a FIFO list per tick plus a heap of
+the ticks that have one. Script actions are queued first, a loopback joins
+the end of the tick being run, and nothing is scheduled before `now`, so
+events run in (tick, order of scheduling) without a per-event heap entry.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import hashlib
 import heapq
 import struct
 from dataclasses import dataclass, field
-from itertools import count
 
 from .broadcast import BroadcastMessage, MessageKind, Thresholds
 from .checker import as_fraction
@@ -37,13 +41,6 @@ class ScriptAction:
     tick: int
     agent: AgentId
     action: dict
-
-
-@dataclass(frozen=True)
-class ScheduledMessage:
-    frm: AgentId
-    to: AgentId
-    msg: BroadcastMessage
 
 
 @dataclass
@@ -122,8 +119,9 @@ class Simulator:
         self.recorder = TraceRecorder()
         self.thresholds = Thresholds.for_system(config.n, config.t)
         self.now = 0
-        self._heap: list = []
-        self._seq = count()
+        # tick -> events in scheduling order: a ScriptAction or (frm, to, msg)
+        self._calendar: dict[int, list] = {}
+        self._ticks: list[int] = []  # heap of the calendar's ticks
         self._fifo_floor: dict[tuple[AgentId, AgentId], int] = {}
         # keyed once; each SEND hashes on a copy
         self._delay_hash = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little"))
@@ -152,59 +150,61 @@ class Simulator:
         for agent in self.agents.values():
             self.recorder.emit("SNAPSHOT", **agent.ledger.snapshot())
         for item in config.script:
-            heapq.heappush(self._heap, (item.tick, next(self._seq), item))
+            self._enqueue(item.tick, item)
 
     def run(self) -> RunResult:
-        steps = 0
-        while self._heap and steps < self.config.max_steps:
-            tick, _, item = heapq.heappop(self._heap)
-            self.now = tick
-            self.recorder.tick = tick
-            if isinstance(item, ScriptAction):
-                stack = self.agents[item.agent]
-                outputs = stack.on_action(item.action)
+        steps, max_steps = 0, self.config.max_steps
+        calendar, ticks, agents = self._calendar, self._ticks, self.agents
+        recorder, emit = self.recorder, self.recorder.emit
+        while ticks and steps < max_steps:
+            self.now = recorder.tick = tick = ticks[0]
+            bucket = calendar[tick]
+            first = steps
+            for event in bucket:  # a loopback appended here runs this tick
+                if steps == max_steps:
+                    del bucket[: steps - first]  # a later run() resumes here
+                    break
+                if type(event) is ScriptAction:
+                    stack = agents[event.agent]
+                    outputs = stack.on_action(event.action)
+                else:
+                    frm, to, msg = event
+                    stack = agents[to]
+                    if frm != to:
+                        emit("RECV", agent=to, frm=frm, channel=msg.channel,
+                             mkind=_MKIND[msg.kind], seq=msg.seq, digest=msg.payload.digest_hex)
+                    outputs = stack.on_message(frm, msg)
+                if outputs:
+                    self._schedule(stack.id, outputs)
+                steps += 1
             else:
-                stack = self.agents[item.to]
-                if item.frm != item.to:
-                    self.recorder.emit(
-                        "RECV",
-                        agent=item.to,
-                        frm=item.frm,
-                        channel=item.msg.channel,
-                        mkind=_MKIND[item.msg.kind],
-                        seq=item.msg.seq,
-                        digest=item.msg.payload.digest_hex,
-                    )
-                outputs = stack.on_message(item.frm, item.msg)
-            self._schedule(stack.id, outputs)
-            steps += 1
-        quiescent = not self._heap
-        self.recorder.emit("END", quiescent=quiescent, steps=steps)
-        return RunResult(self.recorder.records, self.agents, quiescent, steps)
+                heapq.heappop(ticks)
+                del calendar[tick]
+        quiescent = not ticks
+        emit("END", quiescent=quiescent, steps=steps)
+        return RunResult(recorder.records, agents, quiescent, steps)
+
+    def _enqueue(self, tick: int, event) -> None:
+        bucket = self._calendar.get(tick)
+        if bucket is None:
+            self._calendar[tick] = [event]
+            heapq.heappush(self._ticks, tick)
+        else:
+            bucket.append(event)
 
     def _schedule(self, frm: AgentId, outputs: list[tuple[AgentId, BroadcastMessage]]) -> None:
+        now, emit, fifo = self.now, self.recorder.emit, self.config.fifo_channels
         for to, msg in outputs:
             if to == frm:
-                deliver_at = self.now  # loopback, same tick, later index
-            else:
-                self.recorder.emit(
-                    "SEND",
-                    agent=frm,
-                    to=to,
-                    channel=msg.channel,
-                    mkind=_MKIND[msg.kind],
-                    seq=msg.seq,
-                    digest=msg.payload.digest_hex,
-                )
-                deliver_at = self.now + self._delay(frm, to, msg)
-                if self.config.fifo_channels:
-                    floor = self._fifo_floor.get((frm, to), 0)
-                    deliver_at = max(deliver_at, floor)
-                    self._fifo_floor[(frm, to)] = deliver_at
-            heapq.heappush(
-                self._heap,
-                (deliver_at, next(self._seq), ScheduledMessage(frm, to, msg)),
-            )
+                self._calendar[now].append((frm, to, msg))  # loopback, later this tick
+                continue
+            emit("SEND", agent=frm, to=to, channel=msg.channel,
+                 mkind=_MKIND[msg.kind], seq=msg.seq, digest=msg.payload.digest_hex)
+            deliver_at = now + self._delay(frm, to, msg)
+            if fifo:
+                deliver_at = max(deliver_at, self._fifo_floor.get((frm, to), 0))
+                self._fifo_floor[(frm, to)] = deliver_at
+            self._enqueue(deliver_at, (frm, to, msg))
 
     def _delay(self, frm: AgentId, to: AgentId, msg: BroadcastMessage) -> int:
         h = self._delay_hash.copy()

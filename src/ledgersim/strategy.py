@@ -77,7 +77,10 @@ class AgentStack:
         return outputs
 
     def flush_channel_events(self, channel: AgentId) -> None:
-        for event in self.channels[channel].drain_events():
+        state = self.channels[channel]
+        if not state.events:
+            return
+        for event in state.drain_events():
             kind = event.pop("kind")
             self.recorder.emit(kind, agent=self.id, channel=channel, **event)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import IO, Callable, Iterable, Iterator
 
 from .transaction import Transaction, TxId
@@ -31,6 +31,13 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 # the whitespace JSON allows around a value; any other character is an error
 _JSON_SPACE = " \t\n\r"
+_MARKERS: dict = {}
+# the C encoder `_ENCODER.encode` builds per call; None without the C extension
+_NESTED = c_make_encoder and c_make_encoder(
+    _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator,
+    _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 
 
 def txid_field(txid: TxId | tuple) -> list[int]:
@@ -70,20 +77,34 @@ class TraceRecorder:
         return fields
 
 
+def _encode_value(value) -> str:
+    """`_ENCODER.encode(value)` without building a C encoder per call.
+
+    A failed call leaves its circular-reference markers behind, and a stale
+    marker reads as a cycle later, so a cycle error clears them and leaves
+    the verdict, and any error, to `_ENCODER.encode`.
+    """
+    try:
+        return "".join(_NESTED(value, 0))
+    except ValueError:
+        _MARKERS.clear()
+        return _ENCODER.encode(value)
+
+
 @lru_cache(maxsize=256)
 def _shape_encoder(shape: tuple) -> Callable[[dict], str]:
     """Compile `_ENCODER.encode` for dicts whose keys, in iteration order, are `shape`.
 
     The compiled function writes the keys sorted. Each call checks each value's
     type: an exact int is formatted inline, an exact str is escaped, and any
-    other value goes through `_ENCODER`, so a shape holds no assumption about
+    other value goes through `_encode_value`, so a shape holds no assumption about
     its values. Keys and their encoded prefixes reach the code as arguments and
     never as source text, because records read back from a file also get here.
     A shape with a key that is not exactly a str keeps `_ENCODER.encode`.
     """
     if any(type(key) is not str for key in shape):
         return _ENCODER.encode
-    args = {"esc": encode_basestring_ascii, "enc": _ENCODER.encode}
+    args = {"esc": encode_basestring_ascii, "enc": _encode_value if _NESTED else _ENCODER.encode}
     lines, fields = [], ""
     for i, key in enumerate(sorted(shape)):
         args[f"k{i}"] = key

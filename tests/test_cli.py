@@ -245,6 +245,14 @@ def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phr
     assert phrase in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_scenario_that_is_not_utf8_exits_two_with_a_message(tmp_path, capsys, verb):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([verb, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
 def test_empty_seed_list_exits_two(tmp_path, capsys):
     body = minimal_scenario(seeds=[])
     del body["seed"]

@@ -1,9 +1,13 @@
+import heapq
 import json
+import random
+from itertools import count
 
 import pytest
 
 import ledgersim as L
-from helpers import compliant_agents, make_config, pay, run_records
+from helpers import backfill, compliant_agents, make_config, pay, run_records
+from ledgersim.netsim import Simulator
 from ledgersim.trace import dump_record
 
 
@@ -155,3 +159,123 @@ def test_trace_round_trips_through_json():
     text = "\n".join(dump_record(r) for r in records)
     parsed = [json.loads(line) for line in text.splitlines()]
     assert parsed == records
+
+
+# -- the calendar queue against the parent's heap loop --------------------------
+
+
+class HeapSimulator(Simulator):
+    """The reference event loop: one heap of (tick, arrival counter, event),
+    script actions pushed first, every output pushed with the next counter."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._heap = [(item.tick, i, item) for i, item in enumerate(config.script)]
+        heapq.heapify(self._heap)
+        self._seq = count(len(self._heap))
+        self.step_ticks = []
+
+    def run(self):
+        steps = 0
+        while self._heap and steps < self.config.max_steps:
+            tick, _, item = heapq.heappop(self._heap)
+            self.now = self.recorder.tick = tick
+            self.step_ticks.append(tick)
+            if isinstance(item, L.ScriptAction):
+                stack = self.agents[item.agent]
+                outputs = stack.on_action(item.action)
+            else:
+                frm, to, msg = item
+                stack = self.agents[to]
+                if frm != to:
+                    self.recorder.emit(
+                        "RECV", agent=to, frm=frm, channel=msg.channel,
+                        mkind=msg.kind.value, seq=msg.seq, digest=msg.payload.digest_hex,
+                    )
+                outputs = stack.on_message(frm, msg)
+            self._schedule(stack.id, outputs)
+            steps += 1
+        quiescent = not self._heap
+        self.recorder.emit("END", quiescent=quiescent, steps=steps)
+        return L.RunResult(self.recorder.records, self.agents, quiescent, steps)
+
+    def _schedule(self, frm, outputs):
+        for to, msg in outputs:
+            if to == frm:
+                deliver_at = self.now
+            else:
+                self.recorder.emit(
+                    "SEND", agent=frm, to=to, channel=msg.channel,
+                    mkind=msg.kind.value, seq=msg.seq, digest=msg.payload.digest_hex,
+                )
+                deliver_at = self.now + self._delay(frm, to, msg)
+                if self.config.fifo_channels:
+                    deliver_at = max(deliver_at, self._fifo_floor.get((frm, to), 0))
+                    self._fifo_floor[(frm, to)] = deliver_at
+            heapq.heappush(self._heap, (deliver_at, next(self._seq), (frm, to, msg)))
+
+
+HOSTILE = {
+    2: (L.StrategyKind.BYZ_EQUIVOCATE, {}),
+    3: (L.StrategyKind.BYZ_OVERDRAFT, {"extra": 7}),
+    4: (L.StrategyKind.RATIONAL_FREERIDER, {"channels": [1, 5]}),
+    5: (L.StrategyKind.RATIONAL_LAZY_EXEC, {}),
+}
+
+
+def crowded_script(n, count_, rng, span):
+    """Payments on a few ticks, so several share a tick with each other and
+    with message arrivals; a freerider backfill and a no-op action ride along."""
+    script = [
+        pay(rng.randrange(span), frm, rng.choice([i for i in range(1, n + 1) if i != frm]),
+            rng.randrange(1, 30), rng.random() < 0.2)
+        for frm in (rng.randrange(1, n + 1) for _ in range(count_))
+    ]
+    script.append(backfill(span + rng.randrange(5), 4))
+    script.append(L.ScriptAction(rng.randrange(span), 1, {"type": "noop"}))
+    rng.shuffle(script)  # ties keep script order, whatever that order is
+    return script
+
+
+CASES = {
+    "fifo": dict(n=4, t=1, d_min=1, d_max=10, fifo_channels=True, span=40),
+    "equal-delays": dict(n=4, t=1, d_min=2, d_max=2, span=6),
+    "unit-delays-crowded": dict(n=7, t=2, d_min=1, d_max=1, span=4),
+    "hostile": dict(n=7, t=2, d_min=1, d_max=4, span=12, overrides=HOSTILE),
+    "hostile-fifo": dict(n=7, t=2, d_min=1, d_max=6, fifo_channels=True, span=12,
+                         overrides=HOSTILE),
+}
+
+
+def _differential_config(case, seed, max_steps=1_000_000):
+    kw = dict(CASES[case])
+    n, span = kw["n"], kw.pop("span")
+    script = crowded_script(n, 12, random.Random(seed), span)
+    return make_config(seed=seed, script=script, max_steps=max_steps, **kw)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", CASES)
+def test_calendar_queue_matches_the_heap_loop(case, seed):
+    reference = HeapSimulator(_differential_config(case, seed))
+    want = reference.run()
+    got = L.run(_differential_config(case, seed))
+    assert want.quiescent and want.steps > 0
+    assert (got.records, got.steps, got.quiescent) == (want.records, want.steps, want.quiescent)
+
+    ticks = reference.step_ticks
+    mid_tick = [k for k in range(1, len(ticks)) if ticks[k - 1] == ticks[k]]
+    assert mid_tick, "expected a tick with more than one event"
+    rng = random.Random(seed)
+    for cut in {1, mid_tick[len(mid_tick) // 2], rng.choice(mid_tick),
+                rng.randrange(1, want.steps), want.steps - 1, want.steps}:
+        reference = HeapSimulator(_differential_config(case, seed, cut))
+        calendar = Simulator(_differential_config(case, seed, cut))
+        want, got = reference.run(), calendar.run()
+        assert want.steps == cut and want.quiescent == (cut == len(ticks))
+        assert (got.records, got.steps, got.quiescent) == (want.records, want.steps, want.quiescent)
+        # a second run resumes where the cut stopped
+        reference.config.max_steps = calendar.config.max_steps = len(ticks)
+        want, got = reference.run(), calendar.run()
+        assert want.quiescent
+        assert (got.records, got.steps, got.quiescent) == (want.records, want.steps, want.quiescent)

@@ -172,6 +172,50 @@ def test_a_shape_assumes_nothing_about_its_values(shape, rows):
         assert dump_record(record) == REFERENCE.encode(record)
 
 
+odd_ints = st.one_of(
+    st.booleans(), st.sampled_from(list(Level)), st.builds(LoudInt, st.integers()),
+    st.floats(allow_nan=True, allow_infinity=True), st.none(), st.text(max_size=3),
+)
+int_lists = st.lists(st.integers(), max_size=6)
+# lists of exact ints and lists of them, with now and then one odd item or
+# level of nesting; nested dicts with keys the encoder must sort or reject
+list_values = st.one_of(
+    int_lists,
+    st.lists(int_lists, max_size=4),
+    st.lists(st.one_of(st.integers(), odd_ints), max_size=6),
+    st.lists(st.one_of(int_lists, st.lists(st.one_of(st.integers(), odd_ints), max_size=3),
+                       st.lists(int_lists, max_size=2), st.integers()), max_size=4),
+    st.dictionaries(st.one_of(st.text(max_size=2), st.integers(), st.none(), st.booleans()),
+                    st.one_of(int_lists, st.integers()), max_size=3),
+    st.lists(st.builds(object), min_size=1, max_size=1),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(["B", "S", "txid", "converted"]),
+                                list_values, max_size=4), max_size=6))
+def test_list_values_match_the_stdlib_encoder(batch):
+    for record in batch:
+        assert encoded_or_error(dump_record, record) == encoded_or_error(REFERENCE.encode, record)
+
+
+def test_a_failed_value_does_not_spoil_the_next():
+    # each failure leaves the encoder marking `value` as being encoded
+    value = [[1, [2, 3]], [object()]]
+    with pytest.raises(TypeError):
+        dump_record({"v": value})
+    value[1] = {1: 2, "a": 3}  # keys that cannot be sorted
+    with pytest.raises(TypeError):
+        dump_record({"v": value})
+    value[1] = [4]
+    assert dump_record({"v": value}) == REFERENCE.encode({"v": value})
+    value.append(value)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dump_record({"v": value})
+    value.pop()
+    assert dump_record({"v": value}) == REFERENCE.encode({"v": value})
+
+
 def test_more_shapes_than_the_cache_holds():
     count = 2 * _shape_encoder.cache_info().maxsize + 1
     batch = [{f"k{i}": i, "kind": "SEND", "v": [i, None]} for i in range(count)]

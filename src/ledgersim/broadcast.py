@@ -7,12 +7,18 @@ is withheld from any peer that still owes its own echo and ready for an
 earlier sequence, and a payload is delivered once 2t+1 distinct peers have
 signalled ready for the same (seq, digest).
 
+Each tally counts the votes consumed per (seq, digest). A count equals the
+number of distinct peers behind it, because each peer's votes of one kind
+are consumed strictly in seq order: consuming seq s moves last[peer] to s,
+an arrival at or below last[peer] is dropped, and the first arrival per seq
+wins. So a peer adds at most one vote of each kind per seq, for one digest.
+
 A receipt costs only what it changed: it drains the sender's queue of the
 arriving kind alone, re-evaluates only the (seq, digest) keys that drain
 consumed, and re-gates only the sender unless it enqueued a new wave. Every
-quorum condition is monotone in tally size and every other queue and key was
-settled when it last changed, so this equals draining, rescanning and gating
-everything.
+quorum condition is monotone in the vote counts and every other queue and key
+was settled when it last changed, so this equals draining, rescanning and
+gating everything.
 
 State transitions are pure functions of (state, input); nothing here touches
 a clock or a socket. The simulator feeds messages in and schedules whatever
@@ -22,7 +28,7 @@ comes out.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .transaction import AgentId, Transaction
@@ -63,31 +69,24 @@ class BroadcastMessage:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Quorum sizes for a system of n agents tolerating t Byzantine ones."""
+    """Quorum sizes for a system of n agents tolerating t Byzantine ones.
+
+    3t < n also keeps the delivery quorum reachable with every Byzantine
+    agent silent: 2t+1 <= n-t.
+    """
 
     n: int
     t: int
-    echo_quorum: int
-    ready_init: int
-    deliver_quorum: int
-
-    @classmethod
-    def for_system(cls, n: int, t: int) -> "Thresholds":
-        return cls(
-            n=n,
-            t=t,
-            echo_quorum=(n + t) // 2 + 1,  # smallest integer > (n+t)/2
-            ready_init=t + 1,
-            deliver_quorum=2 * t + 1,
-        )
+    echo_quorum: int = field(init=False)  # smallest integer > (n+t)/2
+    ready_init: int = field(init=False)
+    deliver_quorum: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 3 * self.t < self.n:
             raise ValueError(f"need 3t < n, got n={self.n} t={self.t}")
-        if self.deliver_quorum > self.n - self.t:
-            raise ValueError("deliver quorum unreachable with all Byzantine silent")
-        if self.echo_quorum != (self.n + self.t) // 2 + 1:
-            raise ValueError("echo quorum must exceed (n+t)/2")
+        object.__setattr__(self, "echo_quorum", (self.n + self.t) // 2 + 1)
+        object.__setattr__(self, "ready_init", self.t + 1)
+        object.__setattr__(self, "deliver_quorum", 2 * self.t + 1)
 
 
 @dataclass
@@ -113,8 +112,8 @@ class ChannelState:
         self.next_seq = 1  # meaningful on the owner only
         self.last_echo: dict[AgentId, int] = {i: 0 for i in self.peers}
         self.last_ready: dict[AgentId, int] = {i: 0 for i in self.peers}
-        # in-queues map seq -> (digest, payload), first arrival wins; every
-        # queued seq lies beyond last+1, behind a gap
+        # in-queues map seq -> payload, first arrival wins; every queued seq
+        # lies beyond last+1, behind a gap
         self.in_echo_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
         self.in_ready_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
         # out-queues are heaps of (seq, is READY, msg): a seq gets one ECHO
@@ -123,8 +122,9 @@ class ChannelState:
         self.echo_sent: set[int] = set()
         self.ready_sent: set[int] = set()
         self.initial_sent: set[int] = set()
-        self.echo_tally: dict[tuple[int, bytes], set[AgentId]] = {}
-        self.ready_tally: dict[tuple[int, bytes], set[AgentId]] = {}
+        # (seq, digest) -> votes consumed; see the module docstring
+        self.echo_tally: dict[tuple[int, bytes], int] = {}
+        self.ready_tally: dict[tuple[int, bytes], int] = {}
         self.delivered: dict[int, bytes] = {}
         self.events: list[dict] = []  # retaliation + evidence, drained by the stack
         self._payloads: dict[tuple[int, bytes], Transaction] = {}
@@ -177,7 +177,7 @@ class ChannelState:
             if msg.seq > (self.last_echo if echo else self.last_ready)[frm]:
                 # a consumed seq is a duplicate
                 queue = (self.in_echo_queues if echo else self.in_ready_queues)[frm]
-                queue.setdefault(msg.seq, (msg.payload.digest, msg.payload))
+                queue.setdefault(msg.seq, msg.payload)
             delivered = self._evaluate_quorums(self.flush_in_queues(frm, msg.kind))
         # a new wave reaches every out-queue; otherwise only frm's gate moved
         waved = len(self.echo_sent) + len(self.ready_sent) != waves
@@ -192,7 +192,7 @@ class ChannelState:
         A gap (no entry for last+1) stops consumption until the missing
         sequence arrives. A queue grows only on a receipt of its own kind,
         which drains it to its gap, so the other kind's queue has nothing to
-        give. Returns the (seq, digest) keys whose tallies grew, ascending.
+        give. Returns the (seq, digest) keys whose counts grew, ascending.
         """
         if kind is MessageKind.ECHO:
             queue, last, tally = self.in_echo_queues[peer], self.last_echo, self.echo_tally
@@ -201,13 +201,9 @@ class ChannelState:
         consumed = []
         seq = last[peer] + 1
         while seq in queue:
-            dig, payload = queue.pop(seq)
-            key = (seq, dig)
-            voters = tally.get(key)
-            if voters is None:
-                tally[key] = {peer}
-            else:
-                voters.add(peer)
+            payload = queue.pop(seq)
+            key = (seq, payload.digest)
+            tally[key] = tally.get(key, 0) + 1
             self._payloads.setdefault(key, payload)
             consumed.append(key)
             seq += 1
@@ -252,8 +248,8 @@ class ChannelState:
         delivered: list[tuple[int, Transaction]] = []
         for key in keys:
             seq, _dig = key
-            echoes = len(self.echo_tally.get(key, ()))
-            readies = len(self.ready_tally.get(key, ()))
+            echoes = self.echo_tally.get(key, 0)
+            readies = self.ready_tally.get(key, 0)
             if echoes >= th.echo_quorum or readies >= th.ready_init:
                 payload = self._payloads[key]
                 if seq not in self.echo_sent:

@@ -18,6 +18,7 @@ import multiprocessing
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from typing import Sequence
 
 from .checker import PASS, TraceView, run_all_checks, utility
 from .netsim import ConfigInvalid, ScriptAction, SimConfig, run
@@ -67,6 +68,7 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
     unknown = sorted(set(raw) - SCENARIO_KEYS)
     if unknown:
         raise ConfigInvalid(f"unknown scenario keys: {', '.join(unknown)}")
+    seed = scenario_seeds(raw, None)[0] if seed_override is None else seed_override
     try:
         agents = [
             AgentSpec(int(a["id"]), StrategyKind(a["kind"]), a.get("params", {}))
@@ -88,7 +90,7 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
             t=int(raw["t"]),
             epsilon=int(raw.get("epsilon", 1)),
             initial_balance=int(raw.get("initial_balance", 1000)),
-            seed=seed_override if seed_override is not None else int(first_seed(raw)),
+            seed=seed,
             d_min=int(raw.get("d_min", 1)),
             d_max=int(raw.get("d_max", 1)),
             fifo_channels=flag(raw, "fifo_channels"),
@@ -104,28 +106,31 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
     return config
 
 
-def first_seed(raw: dict) -> int:
-    if "seed" in raw:
-        return raw["seed"]
-    if "seeds" in raw:
-        return raw["seeds"][0]
-    if "seed_range" in raw:
-        return raw["seed_range"][0]
-    return 0
+def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
+    """The seeds to run, from the first of: the --seeds flag, "seeds",
+    "seed_range" (inclusive), "seed", else [0]; `run` takes the first.
 
-
-def scenario_seeds(raw: dict, flag: str | None) -> list[int]:
-    if flag:
-        if ".." in flag:
-            lo, hi = flag.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in flag.split(",")]
-    if "seeds" in raw:
-        return [int(s) for s in raw["seeds"]]
-    if "seed_range" in raw:
-        lo, hi = raw["seed_range"]
-        return list(range(int(lo), int(hi) + 1))
-    return [int(raw.get("seed", 0))]
+    A range stays a `range`, so taking its first seed costs nothing.
+    """
+    try:
+        if flag:
+            if ".." in flag:
+                lo, hi = flag.split("..")
+                seeds = range(int(lo), int(hi) + 1)
+            else:
+                seeds = [int(s) for s in flag.split(",")]
+        elif "seeds" in raw:
+            seeds = [int(s) for s in raw["seeds"]]
+        elif "seed_range" in raw:
+            lo, hi = raw["seed_range"]
+            seeds = range(int(lo), int(hi) + 1)
+        else:
+            seeds = [int(raw.get("seed", 0))]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"bad seeds: {exc}") from None
+    if not seeds:
+        raise ConfigInvalid("no seeds to run")
+    return seeds
 
 
 def load_scenario(path: str) -> dict:
@@ -213,8 +218,6 @@ def cmd_sweep(args) -> int:
     try:
         raw = load_scenario(args.scenario)
         seeds = scenario_seeds(raw, args.seeds)
-        if not seeds:
-            raise ConfigInvalid("no seeds to sweep")
         build_config(raw, seeds[0])  # validate once before forking workers
     except SCENARIO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ dependency, is marked bad: the fee is still charged, the value never moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .transaction import AgentId, Money, Transaction, TxId
 
@@ -113,12 +113,19 @@ class LedgerState:
             return False
         if any(t not in self.executed for t in tx.deps | tx.fees):
             return False
-        # Fee cover counts only credits still live in the initiator's buffer:
-        # an already-converted reference credits nothing at execution, so
-        # counting it here could let the fee charge push the balance negative.
-        live = sum(1 for t in tx.fees if t in self.F[tx.initiator])
-        floor = self.n + 1 if self.condition3_strict else self.n
-        return self.B[tx.initiator] > self.n * self.epsilon or live >= floor
+        return self.fee_covered(tx.initiator, tx.fees)
+
+    def fee_covered(self, initiator: AgentId, fees: Iterable[TxId]) -> bool:
+        """The initiator's balance exceeds n*epsilon, or converting `fees` pays the fee.
+
+        Only credits still live in the initiator's buffer count: an
+        already-converted reference credits nothing at execution, so counting
+        it could let the fee charge push the balance negative.
+        """
+        if self.B[initiator] > self.n * self.epsilon:
+            return True
+        live = sum(1 for t in fees if t in self.F[initiator])
+        return live >= (self.n + 1 if self.condition3_strict else self.n)
 
     def execute(self, tx: Transaction) -> ExecutionReport:
         if tx.id in self.executed:

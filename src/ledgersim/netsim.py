@@ -117,7 +117,7 @@ class Simulator:
         config.validate()
         self.config = config
         self.recorder = TraceRecorder()
-        self.thresholds = Thresholds.for_system(config.n, config.t)
+        self.thresholds = Thresholds(config.n, config.t)
         self.now = 0
         # tick -> events in scheduling order: a ScriptAction or (frm, to, msg)
         self._calendar: dict[int, list] = {}

@@ -176,27 +176,16 @@ class CompliantBehavior:
 
     def mint(self, stack: AgentStack, action: dict):
         ledger = stack.ledger
-        amount = int(action["amount"])
         convert = bool(action.get("convert_fees", False))
-        if not self._viable(ledger, amount, convert):
+        # never mint a transaction whose fee-cover check can never pass: it
+        # would stall the channel
+        if not ledger.fee_covered(stack.id, ledger.F[stack.id] if convert else ()):
             return None
         try:
-            tx = ledger.pay(action["to"], amount, convert)
+            tx = ledger.pay(action["to"], int(action["amount"]), convert)
         except InsufficientBalance:
             return None
         return stack.own_channel().broadcast(tx)
-
-    @staticmethod
-    def _viable(ledger: LedgerState, amount: int, convert: bool) -> bool:
-        # the protocol's own balance guard, plus: never mint a transaction
-        # whose fee-cover check can never pass (it would stall the channel)
-        me = ledger.self_id
-        fee = ledger.n * ledger.epsilon
-        if ledger.B[me] < amount + fee:
-            return False
-        live = len(ledger.F[me]) if convert else 0
-        floor = ledger.n + 1 if ledger.condition3_strict else ledger.n
-        return ledger.B[me] > fee or live >= floor
 
     def on_action(self, stack: AgentStack, action: dict) -> list:
         outputs: list = []

@@ -16,8 +16,8 @@ from ledgersim.broadcast import (
 )
 from ledgersim.transaction import Transaction
 
-N4 = Thresholds.for_system(4, 1)
-N7 = Thresholds.for_system(7, 2)
+N4 = Thresholds(4, 1)
+N7 = Thresholds(7, 2)
 
 
 def tx(seq: int, value: int = 5, recipient: int = 2) -> Transaction:
@@ -48,7 +48,7 @@ def smallest_int_above_half(n, t):
 
 @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3), (5, 1), (13, 4)])
 def test_quorum_sizes_match_bruteforce(n, t):
-    th = Thresholds.for_system(n, t)
+    th = Thresholds(n, t)
     assert th.echo_quorum == smallest_int_above_half(n, t)
     assert th.ready_init == t + 1
     assert th.deliver_quorum == 2 * t + 1
@@ -63,7 +63,7 @@ def test_known_quorum_sizes():
 @pytest.mark.parametrize("n,t", [(3, 1), (6, 2), (1, 1)])
 def test_thresholds_reject_too_many_byzantine(n, t):
     with pytest.raises(ValueError):
-        Thresholds.for_system(n, t)
+        Thresholds(n, t)
 
 
 # -- broadcast ----------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_duplicate_echo_from_same_peer_ignored():
     payload = tx(1)
     ch.on_receive(3, echo(1, payload))
     ch.on_receive(3, echo(1, payload))
-    assert ch.echo_tally[(1, payload.digest)] == {3}
+    assert ch.echo_tally[(1, payload.digest)] == 1
 
 
 def test_conflicting_payloads_tally_separately():
@@ -172,8 +172,8 @@ def test_conflicting_payloads_tally_separately():
     ch.on_receive(4, echo(1, b))
     # 2 + 1 echoes for different digests never reach the quorum of 3
     assert 1 not in ch.ready_sent
-    assert ch.echo_tally[(1, a.digest)] == {1, 3}
-    assert ch.echo_tally[(1, b.digest)] == {4}
+    assert ch.echo_tally[(1, a.digest)] == 2
+    assert ch.echo_tally[(1, b.digest)] == 1
 
 
 # -- in-queue sequencing --------------------------------------------------------
@@ -193,8 +193,8 @@ def test_gap_blocks_until_filled():
     assert ch.echo_tally == {}
     ch.on_receive(3, echo(1, tx(1)))
     assert ch.last_echo[3] == 2
-    assert ch.echo_tally[(1, tx(1).digest)] == {3}
-    assert ch.echo_tally[(2, tx(2).digest)] == {3}
+    assert ch.echo_tally[(1, tx(1).digest)] == 1
+    assert ch.echo_tally[(2, tx(2).digest)] == 1
 
 
 def test_first_entry_wins_for_a_sequence():
@@ -205,7 +205,7 @@ def test_first_entry_wins_for_a_sequence():
     ch.in_echo_queues[3].clear()
     ch.on_receive(3, echo(1, blocked))
     ch.on_receive(3, echo(1, second))
-    assert ch.echo_tally[(1, blocked.digest)] == {3}
+    assert ch.echo_tally[(1, blocked.digest)] == 1
     assert (1, second.digest) not in ch.echo_tally
 
 
@@ -282,6 +282,17 @@ def test_non_owner_sequence_untouched_by_delivery():
 # -- randomized invariants -------------------------------------------------------
 
 
+def assert_counts_match_lasts(ch):
+    """Per seq, a kind's counts across digests sum to the number of peers
+    whose last of that kind has reached it: one vote per peer per seq."""
+    for tally, last in ((ch.echo_tally, ch.last_echo), (ch.ready_tally, ch.last_ready)):
+        votes = {}
+        for (seq, _dig), count in tally.items():
+            votes[seq] = votes.get(seq, 0) + count
+        peers = {s: sum(l >= s for l in last.values()) for s in range(1, max(last.values()) + 1)}
+        assert votes == peers
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_storm_preserves_instance_invariants(seed):
     rng = random.Random(seed)
@@ -316,10 +327,7 @@ def test_random_storm_preserves_instance_invariants(seed):
             assert len(set(keys)) == len(keys)
         waves = len(ch.echo_sent) + len(ch.ready_sent)
         assert waves <= 2 * 5
-    # tallies only contain distinct peers, and at most one digest delivered per seq
-    for tally in (ch.echo_tally, ch.ready_tally):
-        for members in tally.values():
-            assert members <= {1, 2, 3, 4}
+        assert_counts_match_lasts(ch)
     assert len(ch.delivered) == len(set(ch.delivered))
 
 
@@ -328,13 +336,16 @@ def test_random_storm_preserves_instance_invariants(seed):
 
 class FullRescanChannel(ChannelState):
     """The reference receive path: sorted-list in- and out-queues with an
-    arrival counter breaking ties, every peer drained, every tallied key
-    rescanned and every peer gated on each receipt."""
+    arrival counter breaking ties, voter sets instead of vote counts, every
+    peer drained, every voted key rescanned and every peer gated on each
+    receipt."""
 
     def __init__(self, owner, self_id, thresholds):
         super().__init__(owner, self_id, thresholds)
         self.in_echo_queues = {i: [] for i in self.peers}
         self.in_ready_queues = {i: [] for i in self.peers}
+        self.echo_voters = {}
+        self.ready_voters = {}
         self._arrivals = count()
 
     def on_receive(self, frm, msg):
@@ -364,16 +375,32 @@ class FullRescanChannel(ChannelState):
             entry = (msg.seq, next(self._arrivals), msg.payload.digest, msg.payload)
             bisect.insort(queues[frm], entry)
             for peer in self.peers:
-                self._drain_list(self.in_echo_queues[peer], self.last_echo, peer, self.echo_tally)
+                self._drain_list(self.in_echo_queues[peer], self.last_echo, peer, self.echo_voters)
                 self._drain_list(
-                    self.in_ready_queues[peer], self.last_ready, peer, self.ready_tally
+                    self.in_ready_queues[peer], self.last_ready, peer, self.ready_voters
                 )
-            delivered = self._evaluate_quorums(
-                sorted(set(self.echo_tally) | set(self.ready_tally))
-            )
+            delivered = self._rescan_quorums()
         return ReceiveOutcome(self.flush_out_queue(self.peers), delivered)
 
-    def _drain_list(self, queue, last, peer, tally):
+    def _rescan_quorums(self):
+        th = self.thresholds
+        delivered = []
+        for key in sorted(set(self.echo_voters) | set(self.ready_voters)):
+            seq = key[0]
+            echoes = len(self.echo_voters.get(key, ()))
+            readies = len(self.ready_voters.get(key, ()))
+            if echoes >= th.echo_quorum or readies >= th.ready_init:
+                if seq not in self.echo_sent:
+                    self._enqueue_wave(MessageKind.ECHO, seq, self._payloads[key])
+                if seq not in self.ready_sent:
+                    self._enqueue_wave(MessageKind.READY, seq, self._payloads[key])
+            if readies >= th.deliver_quorum:
+                out = self.deliver(self._payloads[key], seq)
+                if out is not None:
+                    delivered.append((seq, out))
+        return delivered
+
+    def _drain_list(self, queue, last, peer, voters):
         while queue:
             seq, _arr, dig, payload = queue[0]
             if seq <= last[peer]:
@@ -382,7 +409,7 @@ class FullRescanChannel(ChannelState):
             if seq == last[peer] + 1:
                 queue.pop(0)
                 last[peer] = seq
-                tally.setdefault((seq, dig), set()).add(peer)
+                voters.setdefault((seq, dig), set()).add(peer)
                 self._payloads.setdefault((seq, dig), payload)
                 continue
             break
@@ -431,7 +458,13 @@ def channel_state(ch):
     # out-queue contents in release order, from a heap or from a sorted list
     out = {peer: [(e[0], e[-1]) for e in sorted(q, key=lambda e: e[:2])]
            for peer, q in ch.out_queues.items()}
-    return (ch.echo_tally, ch.ready_tally, ch.last_echo, ch.last_ready, ch.delivered,
+    # vote counts, or the size of each of the reference's voter sets
+    if isinstance(ch, FullRescanChannel):
+        tallies = tuple({key: len(peers) for key, peers in voters.items()}
+                        for voters in (ch.echo_voters, ch.ready_voters))
+    else:
+        tallies = (ch.echo_tally, ch.ready_tally)
+    return (*tallies, ch.last_echo, ch.last_ready, ch.delivered,
             ch.echo_sent, ch.ready_sent, out, ch.next_seq)
 
 
@@ -447,6 +480,7 @@ def test_incremental_receive_matches_full_rescan(th, self_id, seed):
         events = fast.drain_events()
         assert events == ref.drain_events()
         assert channel_state(fast) == channel_state(ref)
+        assert_counts_match_lasts(fast)
         seen["deliveries"] += len(got.delivered)
         seen["blocks"] += sum(e["kind"] == "RETAL_BLOCK" for e in events)
     # the storm reaches delivery and the retaliation gate, not only queueing

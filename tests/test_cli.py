@@ -228,6 +228,10 @@ def pay_to(to, amount=5):
                                   for i in range(1, 5)]),
          "params must be an object"),
         (minimal_scenario(d_max=float("inf")), "cannot convert float infinity to integer"),
+        (minimal_scenario(seed_range=[3]), "bad seeds: not enough values to unpack"),
+        (minimal_scenario(seed_range=[1, 2, 3]), "bad seeds: too many values to unpack"),
+        (minimal_scenario(seed_range=[5, 1]), "no seeds to run"),
+        (minimal_scenario(seeds=5), "bad seeds: 'int' object is not iterable"),
         (5, "scenario must be a JSON object"),
         (None, "scenario must be a JSON object"),
         ([1], "scenario must be a JSON object"),
@@ -235,6 +239,7 @@ def pay_to(to, amount=5):
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
+         "seed_range-short", "seed_range-long", "seed_range-empty", "seeds-int",
          "number", "null", "array", "string"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
@@ -258,10 +263,12 @@ def test_empty_seed_list_exits_two(tmp_path, capsys):
     del body["seed"]
     path = write_scenario(tmp_path, body)
     assert main(["run", path]) == 2
+    assert "no seeds to run" in capsys.readouterr().err
     assert main(["sweep", path]) == 2
+    assert "no seeds to run" in capsys.readouterr().err
     assert main(["sweep", write_scenario(tmp_path, minimal_scenario(), "b.json"),
                  "--seeds", "5..1"]) == 2
-    assert "no seeds to sweep" in capsys.readouterr().err
+    assert "no seeds to run" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
@@ -292,10 +299,21 @@ def test_sweep_parallel_matches_sequential(tmp_path, capsys):
 
 
 def test_sweep_seed_list_from_file(tmp_path, capsys):
+    # "seeds" outranks the "seed": 3 that minimal_scenario also sets
     path = write_scenario(tmp_path, minimal_scenario(seeds=[4, 9]))
     code = main(["sweep", path])
     assert code == 0
     assert "2/2 PASS" in capsys.readouterr().out
+
+
+def test_run_takes_the_first_sweep_seed(tmp_path):
+    path = write_scenario(tmp_path, minimal_scenario(seeds=[4, 9]))
+    traces = {}
+    for name, extra in (("file", []), ("4", ["--seed", "4"]), ("3", ["--seed", "3"])):
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["run", path, "--trace", str(out)] + extra) == 0
+        traces[name] = out.read_text()
+    assert traces["file"] == traces["4"] != traces["3"]
 
 
 def test_run_seed_override_changes_trace(tmp_path):

@@ -13,6 +13,7 @@ from ledgersim.checker import (
     utility_breakdown,
 )
 from ledgersim.ledger import LedgerState
+from ledgersim.trace import TraceRecorder
 from ledgersim.transaction import TxId
 
 
@@ -203,6 +204,28 @@ def test_lazy_agent_never_uses_its_incoming_payment():
     assert compliant_view["q_counts"][3] == 1  # the stranded payment
 
 
+# -- minting ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("balance,amount,live,convert,mints", [
+    (10, 6, 0, False, True),
+    (10, 7, 0, False, False),  # the balance guard: 7 + n*epsilon > 10
+    (4, 0, 0, False, False),  # balance n*epsilon, and no fee credits: stalls
+    (4, 0, 4, False, False),  # credits it does not convert do not count
+    (4, 0, 4, True, True),  # n live credits cover the fee
+    (4, 0, 3, True, False),
+])
+def test_mint_only_what_can_execute(balance, amount, live, convert, mints):
+    config = make_config()
+    stack = L.AgentStack(config.agents[0], config, Thresholds(4, 1), TraceRecorder())
+    stack.ledger.B[1] = balance
+    stack.ledger.F[1] = {TxId(2, s) for s in range(1, live + 1)}
+    out = stack.behavior.mint(stack, {"to": 2, "amount": amount, "convert_fees": convert})
+    assert (out is not None) == mints
+    if mints:
+        assert stack.ledger.fee_covered(1, out[0][1].payload.fees)
+
+
 # -- utility accounting ----------------------------------------------------------------
 
 
@@ -257,7 +280,7 @@ def test_compliant_stack_matches_raw_replica():
     )
     records = run_records(config)
     agent = 4  # never acts, only reacts
-    thresholds = Thresholds.for_system(4, 1)
+    thresholds = Thresholds(4, 1)
     channels = {c: ChannelState(c, agent, thresholds) for c in range(1, 5)}
     ledger = LedgerState(agent, 4, 1, 1000)
 

@@ -20,6 +20,11 @@ quorum condition is monotone in the vote counts and every other queue and key
 was settled when it last changed, so this equals draining, rescanning and
 gating everything.
 
+The channel writes BYZ_EVIDENCE, RETAL_BLOCK and RETAL_UNBLOCK records itself
+through the recorder's `emit`. Quorums read the payloads the drain consumed,
+so no side table copies them: the canonical encoding is injective, so an
+equal (seq, digest) key means an equal transaction.
+
 State transitions are pure functions of (state, input); nothing here touches
 a clock or a socket. The simulator feeds messages in and schedules whatever
 comes out.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .transaction import AgentId, Transaction
 
@@ -104,11 +110,12 @@ class ReceiveOutcome:
 class ChannelState:
     """One agent's view of one broadcast channel."""
 
-    def __init__(self, owner: AgentId, self_id: AgentId, thresholds: Thresholds):
+    def __init__(self, owner: AgentId, self_id: AgentId, thresholds: Thresholds, emit: Callable):
         self.peers: tuple[AgentId, ...] = tuple(range(1, thresholds.n + 1))
         self.owner = owner
         self.self_id = self_id
         self.thresholds = thresholds
+        self.emit = emit  # emit(kind, **fields) appends one trace record
         self.next_seq = 1  # meaningful on the owner only
         self.last_echo: dict[AgentId, int] = {i: 0 for i in self.peers}
         self.last_ready: dict[AgentId, int] = {i: 0 for i in self.peers}
@@ -126,8 +133,6 @@ class ChannelState:
         self.echo_tally: dict[tuple[int, bytes], int] = {}
         self.ready_tally: dict[tuple[int, bytes], int] = {}
         self.delivered: dict[int, bytes] = {}
-        self.events: list[dict] = []  # retaliation + evidence, drained by the stack
-        self._payloads: dict[tuple[int, bytes], Transaction] = {}
         self._initial_digest: dict[int, bytes] = {}
         self._blocked_at: dict[AgentId, int | None] = {i: None for i in self.peers}
 
@@ -158,18 +163,11 @@ class ChannelState:
         waves = len(self.echo_sent) + len(self.ready_sent)
         if msg.kind is MessageKind.INITIAL:
             if frm != self.owner:
-                self.events.append(
-                    {"kind": "BYZ_EVIDENCE", "reason": "initial-from-non-owner",
-                     "frm": frm, "seq": msg.seq}
-                )
+                self._evidence("initial-from-non-owner", frm, msg.seq)
                 return ReceiveOutcome([], [])
             seen = self._initial_digest.setdefault(msg.seq, msg.payload.digest)
             if seen != msg.payload.digest:
-                self.events.append(
-                    {"kind": "BYZ_EVIDENCE", "reason": "conflicting-initial",
-                     "frm": frm, "seq": msg.seq}
-                )
-            self._payloads.setdefault((msg.seq, msg.payload.digest), msg.payload)
+                self._evidence("conflicting-initial", frm, msg.seq)
             if msg.seq not in self.echo_sent:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
         else:
@@ -186,13 +184,14 @@ class ChannelState:
 
     # -- queue machinery ----------------------------------------------------
 
-    def flush_in_queues(self, peer: AgentId, kind: MessageKind) -> list[tuple[int, bytes]]:
+    def flush_in_queues(self, peer: AgentId, kind: MessageKind) -> list[tuple[int, Transaction]]:
         """Consume peer's queued entries of `kind` strictly in sequence order.
 
         A gap (no entry for last+1) stops consumption until the missing
         sequence arrives. A queue grows only on a receipt of its own kind,
         which drains it to its gap, so the other kind's queue has nothing to
-        give. Returns the (seq, digest) keys whose counts grew, ascending.
+        give. Returns the consumed (seq, payload) pairs, ascending; their
+        (seq, digest) keys are the ones whose counts grew.
         """
         if kind is MessageKind.ECHO:
             queue, last, tally = self.in_echo_queues[peer], self.last_echo, self.echo_tally
@@ -204,8 +203,7 @@ class ChannelState:
             payload = queue.pop(seq)
             key = (seq, payload.digest)
             tally[key] = tally.get(key, 0) + 1
-            self._payloads.setdefault(key, payload)
-            consumed.append(key)
+            consumed.append((seq, payload))
             seq += 1
         last[peer] = seq - 1
         return consumed
@@ -228,36 +226,33 @@ class ChannelState:
                     heapq.heappop(queue)
                     if self._blocked_at[peer] == seq:
                         self._blocked_at[peer] = None
-                        self.events.append(
-                            {"kind": "RETAL_UNBLOCK", "peer": peer, "seq": seq}
-                        )
+                        self.emit("RETAL_UNBLOCK", agent=self.self_id, channel=self.owner,
+                                  peer=peer, seq=seq)
                     released.append((peer, msg))
                 else:
                     if self._blocked_at[peer] != seq:
                         self._blocked_at[peer] = seq
-                        self.events.append(
-                            {"kind": "RETAL_BLOCK", "peer": peer, "seq": seq}
-                        )
+                        self.emit("RETAL_BLOCK", agent=self.self_id, channel=self.owner,
+                                  peer=peer, seq=seq)
                     break
         return released
 
     # -- quorums and delivery -------------------------------------------------
 
-    def _evaluate_quorums(self, keys: list[tuple[int, bytes]]) -> list[tuple[int, Transaction]]:
+    def _evaluate_quorums(self, consumed: list) -> list[tuple[int, Transaction]]:
         th = self.thresholds
         delivered: list[tuple[int, Transaction]] = []
-        for key in keys:
-            seq, _dig = key
+        for seq, payload in consumed:
+            key = (seq, payload.digest)
             echoes = self.echo_tally.get(key, 0)
             readies = self.ready_tally.get(key, 0)
             if echoes >= th.echo_quorum or readies >= th.ready_init:
-                payload = self._payloads[key]
                 if seq not in self.echo_sent:
                     self._enqueue_wave(MessageKind.ECHO, seq, payload)
                 if seq not in self.ready_sent:
                     self._enqueue_wave(MessageKind.READY, seq, payload)
             if readies >= th.deliver_quorum:
-                out = self.deliver(self._payloads[key], seq)
+                out = self.deliver(payload, seq)
                 if out is not None:
                     delivered.append((seq, out))
         return delivered
@@ -271,13 +266,13 @@ class ChannelState:
             self.next_seq = seq + 1
         return payload
 
+    def _evidence(self, reason: str, frm: AgentId, seq: int) -> None:
+        self.emit("BYZ_EVIDENCE", agent=self.self_id, channel=self.owner,
+                  reason=reason, frm=frm, seq=seq)
+
     def _enqueue_wave(self, kind: MessageKind, seq: int, payload: Transaction) -> None:
         # one echo and one ready per sequence, fanned out to every agent
         (self.echo_sent if kind is MessageKind.ECHO else self.ready_sent).add(seq)
         entry = (seq, kind is MessageKind.READY, BroadcastMessage(self.owner, kind, seq, payload))
         for peer in self.peers:
             heapq.heappush(self.out_queues[peer], entry)
-
-    def drain_events(self) -> list[dict]:
-        out, self.events = self.events, []
-        return out

@@ -196,7 +196,8 @@ def cmd_check(args) -> int:
     try:
         with open(args.trace) as fp:
             reports = run_all_checks(read_trace(fp))
-    except (OSError, ValueError, KeyError) as exc:
+    # a field of the wrong type or shape fails where a check first reads it
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         print(f"error: unreadable trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print_reports(reports)
@@ -222,19 +223,18 @@ def cmd_sweep(args) -> int:
     except SCENARIO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    payloads = [(raw, seed) for seed in seeds]
-    if args.workers > 1:
-        with multiprocessing.Pool(args.workers) as pool:
-            results = pool.map(_sweep_one, payloads)
-    else:
-        results = [_sweep_one(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
-    good = sum(1 for _, ok, _ in results if ok)
-    print(f"{good}/{len(results)} PASS")
-    for seed, ok, failures in results:
-        if not ok:
-            print(f"seed {seed}: {', '.join(failures)}")
-    return EXIT_OK if good == len(results) else EXIT_CHECK_FAILED
+    if isinstance(seeds, list):
+        seeds = sorted(seeds)  # a range is already ascending
+    # each seed is drawn as its run starts and only failures are kept, so a
+    # long range costs no memory up front
+    payloads = ((raw, seed) for seed in seeds)
+    with multiprocessing.Pool(args.workers) if args.workers > 1 else nullcontext() as pool:
+        results = map(_sweep_one, payloads) if pool is None else pool.imap(_sweep_one, payloads)
+        failed = [f"seed {seed}: {', '.join(why)}" for seed, ok, why in results if not ok]
+    print(f"{len(seeds) - len(failed)}/{len(seeds)} PASS")
+    for line in failed:
+        print(line)
+    return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

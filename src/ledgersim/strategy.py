@@ -10,7 +10,7 @@ channel, or skipping execution of other agents' transactions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
 
@@ -49,7 +49,7 @@ class AgentStack:
             condition3_strict=config.condition3_strict,
         )
         self.channels = {
-            owner: ChannelState(owner, spec.id, thresholds)
+            owner: ChannelState(owner, spec.id, thresholds, recorder.emit)
             for owner in range(1, config.n + 1)
         }
         self.behavior = make_behavior(spec)
@@ -75,14 +75,6 @@ class AgentStack:
         while self.pending and self.channel_free():
             outputs.extend(behavior.mint(self, self.pending.popleft()) or ())
         return outputs
-
-    def flush_channel_events(self, channel: AgentId) -> None:
-        state = self.channels[channel]
-        if not state.events:
-            return
-        for event in state.drain_events():
-            kind = event.pop("kind")
-            self.recorder.emit(kind, agent=self.id, channel=channel, **event)
 
     def record_deliver(self, channel: AgentId, seq: int, tx: Transaction) -> None:
         self.recorder.emit(
@@ -197,7 +189,6 @@ class CompliantBehavior:
     def on_message(self, stack: AgentStack, frm: AgentId, msg: BroadcastMessage) -> list:
         channel = stack.channels[msg.channel]
         outcome = channel.on_receive(frm, msg)
-        stack.flush_channel_events(msg.channel)
         outputs = list(outcome.outbound)
         for seq, tx in outcome.delivered:
             stack.record_deliver(msg.channel, seq, tx)
@@ -244,13 +235,9 @@ class EquivocateBehavior(CompliantBehavior):
         self.alt_targets = _param(params, "alt_targets", _naturals)
 
     def on_action(self, stack, action):
-        if action.get("type", "pay") != "pay":
+        if action.get("type", "pay") != "pay" or not stack.channel_free():
             return []
-        own = stack.own_channel()
-        seq = own.next_seq
-        if seq in own.initial_sent:
-            return []
-        me = stack.id
+        me, seq = stack.id, stack.own_channel().next_seq
         to = int(action["to"])
         amount = int(action["amount"])
         others = [i for i in sorted(stack.channels) if i != me]
@@ -258,17 +245,12 @@ class EquivocateBehavior(CompliantBehavior):
         if alt_to is None:
             alt_to = next(i for i in others if i != to)
         alt_amount = amount + 1 if self.alt_amount is None else self.alt_amount
-        tx_a = Transaction(me, to, amount, seq)
-        tx_b = Transaction(me, alt_to, alt_amount, seq)
         alt_targets = self.alt_targets
         if alt_targets is None:
             alt_targets = set(others[len(others) - len(others) // 3:])
-        own.initial_sent.add(seq)
-        outputs = []
-        for target in sorted(stack.channels):
-            tx = tx_b if target in alt_targets else tx_a
-            outputs.append((target, BroadcastMessage(me, MessageKind.INITIAL, seq, tx)))
-        return outputs
+        outputs = stack.own_channel().broadcast(Transaction(me, to, amount, seq))
+        alt = replace(outputs[0][1], payload=Transaction(me, alt_to, alt_amount, seq))
+        return [(target, alt if target in alt_targets else msg) for target, msg in outputs]
 
 
 class OverdraftBehavior(CompliantBehavior):

@@ -20,6 +20,20 @@ N4 = Thresholds(4, 1)
 N7 = Thresholds(7, 2)
 
 
+class Records(list):
+    """Stands in for `TraceRecorder.emit`: keeps each record as a dict, kind
+    first, then the fields in call order."""
+
+    def __call__(self, kind, **fields):
+        self.append({"kind": kind, **fields})
+
+
+def evidence(agent, reason, frm, seq):
+    """A BYZ_EVIDENCE record of channel 1, in the field order the trace has."""
+    return [("kind", "BYZ_EVIDENCE"), ("agent", agent), ("channel", 1),
+            ("reason", reason), ("frm", frm), ("seq", seq)]
+
+
 def tx(seq: int, value: int = 5, recipient: int = 2) -> Transaction:
     return Transaction(1, recipient, value, seq)
 
@@ -70,7 +84,7 @@ def test_thresholds_reject_too_many_byzantine(n, t):
 
 
 def test_broadcast_fans_out_to_all_agents_including_self():
-    owner = ChannelState(1, 1, N4)
+    owner = ChannelState(1, 1, N4, Records())
     out = owner.broadcast(tx(1))
     assert [to for to, _ in out] == [1, 2, 3, 4]
     for _, msg in out:
@@ -79,27 +93,27 @@ def test_broadcast_fans_out_to_all_agents_including_self():
 
 
 def test_broadcast_requires_ownership():
-    other = ChannelState(1, 2, N4)
+    other = ChannelState(1, 2, N4, Records())
     with pytest.raises(NotOwner):
         other.broadcast(tx(1))
 
 
 def test_broadcast_requires_current_sequence():
-    owner = ChannelState(1, 1, N4)
+    owner = ChannelState(1, 1, N4, Records())
     owner.next_seq = 3
     with pytest.raises(SeqMismatch):
         owner.broadcast(tx(2))
 
 
 def test_rebroadcast_of_inflight_sequence_rejected():
-    owner = ChannelState(1, 1, N4)
+    owner = ChannelState(1, 1, N4, Records())
     owner.broadcast(tx(1))
     with pytest.raises(SeqMismatch):
         owner.broadcast(tx(1))
 
 
 def test_wrong_channel_rejected():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     with pytest.raises(WrongChannel):
         ch.on_receive(3, BroadcastMessage(3, MessageKind.ECHO, 1, tx(1)))
 
@@ -108,7 +122,7 @@ def test_wrong_channel_rejected():
 
 
 def test_initial_from_owner_echoes_to_everyone():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     outcome = ch.on_receive(1, initial(1, tx(1)))
     # seq-1 traffic passes the gate for every peer immediately
     assert [(to, m.kind) for to, m in outcome.outbound] == [
@@ -118,25 +132,24 @@ def test_initial_from_owner_echoes_to_everyone():
 
 
 def test_initial_from_non_owner_is_evidence_only():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     outcome = ch.on_receive(3, initial(1, tx(1)))
     assert outcome.outbound == []
-    events = ch.drain_events()
-    assert events and events[0]["reason"] == "initial-from-non-owner"
+    assert [list(r.items()) for r in ch.emit] == [evidence(2, "initial-from-non-owner", 3, 1)]
 
 
 def test_duplicate_initial_same_seq_ignored():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     first = ch.on_receive(1, initial(1, tx(1)))
     assert len(first.outbound) == 4
     again = ch.on_receive(1, initial(1, tx(1, value=9)))
     assert again.outbound == []
-    assert any(e["reason"] == "conflicting-initial" for e in ch.drain_events())
+    assert [list(r.items()) for r in ch.emit] == [evidence(2, "conflicting-initial", 1, 1)]
 
 
 def test_echo_quorum_triggers_ready():
     # three distinct echoes reach the n=4 quorum of 3
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     payload = tx(1)
     assert ch.on_receive(1, echo(1, payload)).outbound == []
     assert ch.on_receive(3, echo(1, payload)).outbound == []
@@ -148,7 +161,7 @@ def test_echo_quorum_triggers_ready():
 
 def test_two_readys_trigger_echo_and_ready():
     # ready_init = t+1 = 2 suffices without any echo quorum
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     payload = tx(1)
     assert ch.on_receive(3, ready(1, payload)).outbound == []
     out = ch.on_receive(4, ready(1, payload)).outbound
@@ -157,7 +170,7 @@ def test_two_readys_trigger_echo_and_ready():
 
 
 def test_duplicate_echo_from_same_peer_ignored():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     payload = tx(1)
     ch.on_receive(3, echo(1, payload))
     ch.on_receive(3, echo(1, payload))
@@ -165,7 +178,7 @@ def test_duplicate_echo_from_same_peer_ignored():
 
 
 def test_conflicting_payloads_tally_separately():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     a, b = tx(1, value=5), tx(1, value=6)
     ch.on_receive(1, echo(1, a))
     ch.on_receive(3, echo(1, a))
@@ -180,14 +193,14 @@ def test_conflicting_payloads_tally_separately():
 
 
 def test_flush_consumes_in_order():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     ch.on_receive(3, echo(1, tx(1)))
     ch.on_receive(3, echo(2, tx(2)))
     assert ch.last_echo[3] == 2
 
 
 def test_gap_blocks_until_filled():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     ch.on_receive(3, echo(2, tx(2)))
     assert ch.last_echo[3] == 0
     assert ch.echo_tally == {}
@@ -199,7 +212,7 @@ def test_gap_blocks_until_filled():
 
 def test_first_entry_wins_for_a_sequence():
     # a queued duplicate with different content is discarded unconsumed
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     blocked, second = tx(1, value=5), tx(1, value=6)
     ch.on_receive(3, echo(2, tx(2)))  # force queueing behind a gap
     ch.in_echo_queues[3].clear()
@@ -222,35 +235,37 @@ def seed_outqueue(ch):
 
 
 def test_gate_releases_seq1_and_withholds_seq2():
-    ch = ChannelState(1, 1, N4)
+    # agent 3's view of channel 1: a record swapping agent and channel shows
+    ch = ChannelState(1, 3, N4, Records())
     released = seed_outqueue(ch)
     # peers 1 and 2 have sent nothing; their seq-1 messages flow, seq-2 wait
     sent_to_2 = [(m.seq, m.kind) for to, m in released if to == 2]
     assert (1, MessageKind.ECHO) in sent_to_2 and (1, MessageKind.READY) in sent_to_2
     assert all(seq == 1 for seq, _ in sent_to_2)
-    blocks = [e for e in ch.drain_events() if e["kind"] == "RETAL_BLOCK"]
-    assert {e["peer"] for e in blocks} >= {1, 2}
+    assert {r["kind"] for r in ch.emit} == {"RETAL_BLOCK"}
+    assert {r["peer"] for r in ch.emit} >= {1, 2}
+    assert all(list(r) == ["kind", "agent", "channel", "peer", "seq"] for r in ch.emit)
+    assert {(r["agent"], r["channel"], r["seq"]) for r in ch.emit} == {(3, 1, 2)}
 
 
 def test_backfill_reopens_gate_in_order():
-    ch = ChannelState(1, 1, N4)
+    ch = ChannelState(1, 3, N4, Records())
     seed_outqueue(ch)
-    ch.drain_events()
+    ch.emit.clear()
     # peer 2 completes seq 1
     out = []
     out += ch.on_receive(2, echo(1, tx(1))).outbound
     out += ch.on_receive(2, ready(1, tx(1))).outbound
     to_2 = [(m.seq, m.kind) for to, m in out if to == 2]
     assert to_2 == [(2, MessageKind.ECHO), (2, MessageKind.READY)]
-    unblocks = [e for e in ch.drain_events() if e["kind"] == "RETAL_UNBLOCK"]
-    assert any(e["peer"] == 2 and e["seq"] == 2 for e in unblocks)
+    assert ch.emit == [{"kind": "RETAL_UNBLOCK", "agent": 3, "channel": 1, "peer": 2, "seq": 2}]
 
 
 # -- delivery -------------------------------------------------------------------
 
 
 def test_delivery_happens_once():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     payload = tx(1)
     ch.on_receive(1, ready(1, payload))
     ch.on_receive(3, ready(1, payload))
@@ -263,7 +278,7 @@ def test_delivery_happens_once():
 
 
 def test_owner_sequence_advances_on_delivery():
-    owner = ChannelState(1, 1, N4)
+    owner = ChannelState(1, 1, N4, Records())
     owner.broadcast(tx(1))
     payload = tx(1)
     for frm in (2, 3, 4):
@@ -273,7 +288,7 @@ def test_owner_sequence_advances_on_delivery():
 
 
 def test_non_owner_sequence_untouched_by_delivery():
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     for frm in (1, 3, 4):
         ch.on_receive(frm, ready(1, tx(1)))
     assert ch.next_seq == 1
@@ -296,7 +311,7 @@ def assert_counts_match_lasts(ch):
 @pytest.mark.parametrize("seed", range(20))
 def test_random_storm_preserves_instance_invariants(seed):
     rng = random.Random(seed)
-    ch = ChannelState(1, 2, N4)
+    ch = ChannelState(1, 2, N4, Records())
     payloads = {s: tx(s) for s in range(1, 6)}
     fakes = {s: tx(s, value=90 + s) for s in range(1, 6)}
     waves = 0
@@ -336,12 +351,16 @@ def test_random_storm_preserves_instance_invariants(seed):
 
 class FullRescanChannel(ChannelState):
     """The reference receive path: sorted-list in- and out-queues with an
-    arrival counter breaking ties, voter sets instead of vote counts, every
-    peer drained, every voted key rescanned and every peer gated on each
-    receipt."""
+    arrival counter breaking ties, voter sets instead of vote counts, a
+    (seq, digest) -> payload table, every peer drained, every voted key
+    rescanned and every peer gated on each receipt. It overrides every path
+    that writes a record and keeps its records in `events`, in the shape
+    `Records` keeps them."""
 
     def __init__(self, owner, self_id, thresholds):
-        super().__init__(owner, self_id, thresholds)
+        super().__init__(owner, self_id, thresholds, emit=None)
+        self.events = []
+        self._payloads = {}
         self.in_echo_queues = {i: [] for i in self.peers}
         self.in_ready_queues = {i: [] for i in self.peers}
         self.echo_voters = {}
@@ -354,17 +373,12 @@ class FullRescanChannel(ChannelState):
         delivered = []
         if msg.kind is MessageKind.INITIAL:
             if frm != self.owner:
-                self.events.append(
-                    {"kind": "BYZ_EVIDENCE", "reason": "initial-from-non-owner",
-                     "frm": frm, "seq": msg.seq}
-                )
+                self._record("BYZ_EVIDENCE", reason="initial-from-non-owner",
+                             frm=frm, seq=msg.seq)
                 return ReceiveOutcome([], [])
             seen = self._initial_digest.setdefault(msg.seq, msg.payload.digest)
             if seen != msg.payload.digest:
-                self.events.append(
-                    {"kind": "BYZ_EVIDENCE", "reason": "conflicting-initial",
-                     "frm": frm, "seq": msg.seq}
-                )
+                self._record("BYZ_EVIDENCE", reason="conflicting-initial", frm=frm, seq=msg.seq)
             self._payloads.setdefault((msg.seq, msg.payload.digest), msg.payload)
             if msg.seq not in self.echo_sent:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
@@ -381,6 +395,9 @@ class FullRescanChannel(ChannelState):
                 )
             delivered = self._rescan_quorums()
         return ReceiveOutcome(self.flush_out_queue(self.peers), delivered)
+
+    def _record(self, kind, **fields):
+        self.events.append({"kind": kind, "agent": self.self_id, "channel": self.owner, **fields})
 
     def _rescan_quorums(self):
         th = self.thresholds
@@ -430,12 +447,12 @@ class FullRescanChannel(ChannelState):
                     queue.pop(0)
                     if self._blocked_at[peer] == seq:
                         self._blocked_at[peer] = None
-                        self.events.append({"kind": "RETAL_UNBLOCK", "peer": peer, "seq": seq})
+                        self._record("RETAL_UNBLOCK", peer=peer, seq=seq)
                     released.append((peer, msg))
                 else:
                     if self._blocked_at[peer] != seq:
                         self._blocked_at[peer] = seq
-                        self.events.append({"kind": "RETAL_BLOCK", "peer": peer, "seq": seq})
+                        self._record("RETAL_BLOCK", peer=peer, seq=seq)
                     break
         return released
 
@@ -472,16 +489,18 @@ def channel_state(ch):
 @pytest.mark.parametrize("seed", range(6))
 def test_incremental_receive_matches_full_rescan(th, self_id, seed):
     rng = random.Random(seed)
-    fast, ref = ChannelState(1, self_id, th), FullRescanChannel(1, self_id, th)
+    fast, ref = ChannelState(1, self_id, th, Records()), FullRescanChannel(1, self_id, th)
     seen = {"deliveries": 0, "blocks": 0}
     for frm, msg in storm(rng, th.n, 150 * th.n):
         got, want = fast.on_receive(frm, msg), ref.on_receive(frm, msg)
         assert got == want
-        events = fast.drain_events()
-        assert events == ref.drain_events()
+        # the same records, fields in the same order, after every receipt
+        assert [list(r.items()) for r in fast.emit] == [list(r.items()) for r in ref.events]
         assert channel_state(fast) == channel_state(ref)
         assert_counts_match_lasts(fast)
         seen["deliveries"] += len(got.delivered)
-        seen["blocks"] += sum(e["kind"] == "RETAL_BLOCK" for e in events)
+        seen["blocks"] += sum(r["kind"] == "RETAL_BLOCK" for r in fast.emit)
+        fast.emit.clear()
+        ref.events.clear()
     # the storm reaches delivery and the retaliation gate, not only queueing
     assert seen["deliveries"] > 0 and seen["blocks"] > 0

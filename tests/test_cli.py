@@ -1,9 +1,11 @@
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
 
 from ledgersim.cli import main
+from ledgersim.netsim import run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -159,6 +161,21 @@ def test_check_rejects_a_deliver_by_an_unknown_agent(tmp_path, capsys):
     assert "record 52 (RRB_DELIVER) names agent 9, absent from CONFIG" in err
 
 
+def set_first(kind, key, value):
+    """An edit that sets `key` on the first record of `kind`."""
+
+    def edit(lines):
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["kind"] == kind:
+                rec[key] = value
+                lines[i] = json.dumps(rec)
+                return
+        raise AssertionError(f"no {kind} record")
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit,phrase",
     [
@@ -168,8 +185,16 @@ def test_check_rejects_a_deliver_by_an_unknown_agent(tmp_path, capsys):
         (lambda lines: lines.__setitem__(3, lines[3][:-5]), "Unterminated string starting at: line 4"),
         (lambda lines: lines.pop(0), "record 1 (SNAPSHOT) comes first, not CONFIG"),
         (lambda lines: lines.clear(), "trace is empty"),
+        (set_first("EXECUTE", "agent", [1]), "unhashable type: 'list'"),
+        (set_first("EXECUTE", "txid", [1]), "list index out of range"),
+        (set_first("EXECUTE", "converted", None), "object of type 'NoneType' has no len()"),
+        (set_first("SNAPSHOT", "B", "abc"), "'<' not supported between instances of 'str'"),
+        (set_first("RRB_DELIVER", "seq", [1]), "unhashable type: 'list'"),
+        (set_first("CONFIG", "agents", None), "'NoneType' object is not iterable"),
     ],
-    ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty"],
+    ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty",
+         "execute-agent-list", "execute-txid-short", "execute-converted-null",
+         "snapshot-balances-str", "deliver-seq-list", "config-agents-null"],
 )
 def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
     trace = written_trace(tmp_path, capsys)
@@ -221,6 +246,8 @@ def pay_to(to, amount=5):
         (minimal_scenario(script=pay_to(9)), "pays unknown agent 9"),
         (minimal_scenario(script=pay_to(1)), "pays itself"),
         (minimal_scenario(script=pay_to(2, amount=-5)), "negative amount"),
+        (minimal_scenario(initial_balance=10**20, script=pay_to(2, amount=2**64)),
+         "pays 18446744073709551616, beyond the 64-bit wire field"),
         (minimal_scenario(msg_cost_c="abc"), "msg_cost_c"),
         (minimal_scenario(fifo_channels="false"), "fifo_channels must be true or false"),
         (minimal_scenario(d_mx=5), "unknown scenario keys: d_mx"),
@@ -237,7 +264,7 @@ def pay_to(to, amount=5):
         ([1], "scenario must be a JSON object"),
         ("abc", "scenario must be a JSON object"),
     ],
-    ids=["unknown-recipient", "self-pay", "negative-amount", "bad-msg-cost",
+    ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
          "seed_range-short", "seed_range-long", "seed_range-empty", "seeds-int",
          "number", "null", "array", "string"],
@@ -296,6 +323,45 @@ def test_sweep_parallel_matches_sequential(tmp_path, capsys):
     main(["sweep", path, "--seeds", "1..8", "--workers", "2"])
     par_out = capsys.readouterr().out
     assert seq_out == par_out
+
+
+def test_sweep_draws_each_seed_as_its_run_starts(tmp_path, capsys, monkeypatch):
+    # a seed range of any length costs no memory up front
+    runs = []
+
+    class LazySeeds(Sequence):
+        """Seeds 1..5 that fail when one is drawn before the previous run."""
+
+        def __len__(self):
+            return 5
+
+        def __getitem__(self, i):
+            return range(1, 6)[i]
+
+        def __iter__(self):
+            for seed in range(1, 6):
+                assert len(runs) >= seed - 1, f"seed {seed} drawn after {len(runs)} runs"
+                yield seed
+
+    def counted_run(config):
+        runs.append(config.seed)
+        return run(config)
+
+    monkeypatch.setattr("ledgersim.cli.scenario_seeds", lambda raw, flag: LazySeeds())
+    monkeypatch.setattr("ledgersim.cli.run", counted_run)
+    assert main(["sweep", write_scenario(tmp_path, minimal_scenario())]) == 0
+    assert capsys.readouterr().out == "5/5 PASS\n"
+    assert runs == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_lists_failing_seeds_in_ascending_order(tmp_path, capsys, workers):
+    path = write_scenario(tmp_path, minimal_scenario(seeds=[9, 3, 5, 3], max_steps=4))
+    assert main(["sweep", path, "--workers", workers]) == 1
+    failures = "validity, agreement, quiescence"  # UNKNOWN counts as a failure
+    assert capsys.readouterr().out == "0/4 PASS\n" + "".join(
+        f"seed {seed}: {failures}\n" for seed in (3, 3, 5, 9)
+    )
 
 
 def test_sweep_seed_list_from_file(tmp_path, capsys):

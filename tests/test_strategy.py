@@ -272,16 +272,33 @@ def test_converted_credit_sets_come_from_own_records():
 
 
 def test_compliant_stack_matches_raw_replica():
-    """Replay one agent's inbound traffic through bare channel+ledger state and
-    compare every outbound message and execution with the simulator's trace."""
-    config = make_config(
-        seed=17, d_min=5, d_max=9,
+    assert_matches_raw_replica(
+        d_min=5,
         script=[pay(0, 1, 2, 5), pay(30, 2, 3, 4), pay(70, 3, 4, 2, convert_fees=True)],
+        gated=False,
     )
+
+
+def test_compliant_stack_matches_raw_replica_through_the_gate():
+    # back-to-back seqs on channels 1 and 2 close agent 4's gate twice
+    assert_matches_raw_replica(
+        d_min=1,
+        script=[pay(0, 1, 2, 5), pay(1, 1, 3, 4), pay(2, 1, 2, 3), pay(3, 2, 3, 4),
+                pay(4, 2, 1, 1)],
+        gated=True,
+    )
+
+
+def assert_matches_raw_replica(d_min, script, gated):
+    """Replay one agent's inbound traffic through bare channel+ledger state and
+    compare every outbound message, execution and channel record with the
+    simulator's trace."""
+    config = make_config(seed=17, d_min=d_min, d_max=9, script=script)
     records = run_records(config)
     agent = 4  # never acts, only reacts
     thresholds = Thresholds(4, 1)
-    channels = {c: ChannelState(c, agent, thresholds) for c in range(1, 5)}
+    recorder = TraceRecorder()
+    channels = {c: ChannelState(c, agent, thresholds, recorder.emit) for c in range(1, 5)}
     ledger = LedgerState(agent, 4, 1, 1000)
 
     inbound: dict[int, list] = {}
@@ -307,6 +324,7 @@ def test_compliant_stack_matches_raw_replica():
     from ledgersim.broadcast import BroadcastMessage
 
     for tick in sorted(inbound):
+        recorder.tick = tick
         queue = [
             BroadcastMessage(
                 r["channel"], MessageKind(r["mkind"]), r["seq"], payloads[r["digest"]]
@@ -340,3 +358,12 @@ def test_compliant_stack_matches_raw_replica():
     ]
     assert sent == trace_sent
     assert executed == trace_executed
+    # the channels' own records: evidence and retaliation, fields in order
+    def fields(rec):
+        return [(k, v) for k, v in rec.items() if k != "idx"]
+
+    channel_kinds = {"BYZ_EVIDENCE", "RETAL_BLOCK", "RETAL_UNBLOCK"}
+    assert [fields(r) for r in recorder.records] == [
+        fields(r) for r in records if r["kind"] in channel_kinds and r["agent"] == agent
+    ]
+    assert any(r["kind"] == "RETAL_BLOCK" for r in recorder.records) == gated

@@ -13,12 +13,14 @@ are consumed strictly in seq order: consuming seq s moves last[peer] to s,
 an arrival at or below last[peer] is dropped, and the first arrival per seq
 wins. So a peer adds at most one vote of each kind per seq, for one digest.
 
-A receipt costs only what it changed: it drains the sender's queue of the
-arriving kind alone, re-evaluates only the (seq, digest) keys that drain
-consumed, and re-gates only the sender unless it enqueued a new wave. Every
-quorum condition is monotone in the vote counts and every other queue and key
-was settled when it last changed, so this equals draining, rescanning and
-gating everything.
+A receipt costs only what it changed. An ECHO or READY whose seq is the
+sender's last + 1 is counted at once, never queued, and then drains whatever
+had queued behind it; only an arrival past a gap waits in the in-queue. Only
+the (seq, digest) keys so consumed are re-evaluated, and only the sender is
+re-gated, unless the receipt enqueued a new wave, and only when the sender
+has something queued. Every quorum condition is monotone in the vote counts
+and every other queue and key was settled when it last changed, so this
+equals draining, rescanning and gating everything.
 
 The channel writes BYZ_EVIDENCE, RETAL_BLOCK and RETAL_UNBLOCK records itself
 through the recorder's `emit`. Quorums read the payloads the drain consumed,
@@ -95,7 +97,7 @@ class Thresholds:
         object.__setattr__(self, "deliver_quorum", 2 * self.t + 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiveOutcome:
     """What a single on_receive call produced.
 
@@ -135,6 +137,7 @@ class ChannelState:
         self.delivered: dict[int, bytes] = {}
         self._initial_digest: dict[int, bytes] = {}
         self._blocked_at: dict[AgentId, int | None] = {i: None for i in self.peers}
+        self._waves = 0  # echo and ready waves enqueued so far
 
     # -- initiation ---------------------------------------------------------
 
@@ -160,7 +163,7 @@ class ChannelState:
         if msg.channel != self.owner:
             raise WrongChannel(f"message for channel {msg.channel} on {self.owner}")
         delivered: list[tuple[int, Transaction]] = []
-        waves = len(self.echo_sent) + len(self.ready_sent)
+        waves = self._waves
         if msg.kind is MessageKind.INITIAL:
             if frm != self.owner:
                 self._evidence("initial-from-non-owner", frm, msg.seq)
@@ -171,40 +174,45 @@ class ChannelState:
             if msg.seq not in self.echo_sent:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
         else:
-            echo = msg.kind is MessageKind.ECHO
-            if msg.seq > (self.last_echo if echo else self.last_ready)[frm]:
-                # a consumed seq is a duplicate
-                queue = (self.in_echo_queues if echo else self.in_ready_queues)[frm]
-                queue.setdefault(msg.seq, msg.payload)
-            delivered = self._evaluate_quorums(self.flush_in_queues(frm, msg.kind))
-        # a new wave reaches every out-queue; otherwise only frm's gate moved
-        waved = len(self.echo_sent) + len(self.ready_sent) != waves
-        outbound = self.flush_out_queue(self.peers if waved else (frm,))
+            delivered = self._evaluate_quorums(self.flush_in_queues(frm, msg))
+        # a new wave reaches every out-queue; otherwise only frm's gate moved,
+        # and gating an empty queue would release and emit nothing
+        if self._waves != waves:
+            outbound = self.flush_out_queue(self.peers)
+        else:
+            outbound = self.flush_out_queue((frm,)) if self.out_queues[frm] else []
         return ReceiveOutcome(outbound, delivered)
 
     # -- queue machinery ----------------------------------------------------
 
-    def flush_in_queues(self, peer: AgentId, kind: MessageKind) -> list[tuple[int, Transaction]]:
-        """Consume peer's queued entries of `kind` strictly in sequence order.
+    def flush_in_queues(
+        self, peer: AgentId, msg: BroadcastMessage
+    ) -> list[tuple[int, Transaction]]:
+        """Take peer's ECHO or READY `msg`, consuming votes strictly in seq order.
 
-        A gap (no entry for last+1) stops consumption until the missing
-        sequence arrives. A queue grows only on a receipt of its own kind,
-        which drains it to its gap, so the other kind's queue has nothing to
-        give. Returns the consumed (seq, payload) pairs, ascending; their
-        (seq, digest) keys are the ones whose counts grew.
+        An arrival at last + 1 is counted at once, then drains what queued
+        behind it; one past a gap is queued (first arrival per seq wins); one
+        at or below last is a duplicate and dropped. The other kind's queue
+        was drained to its gap when that kind last arrived. Returns the
+        consumed (seq, payload) pairs, ascending: the keys whose counts grew.
         """
-        if kind is MessageKind.ECHO:
+        if msg.kind is MessageKind.ECHO:
             queue, last, tally = self.in_echo_queues[peer], self.last_echo, self.echo_tally
         else:
             queue, last, tally = self.in_ready_queues[peer], self.last_ready, self.ready_tally
+        seq = msg.seq
+        if seq != last[peer] + 1:
+            if seq > last[peer]:
+                queue.setdefault(seq, msg.payload)
+            return []
         consumed = []
-        seq = last[peer] + 1
-        while seq in queue:
-            payload = queue.pop(seq)
+        payload = msg.payload
+        while payload is not None:
             key = (seq, payload.digest)
             tally[key] = tally.get(key, 0) + 1
             consumed.append((seq, payload))
             seq += 1
+            payload = queue.pop(seq, None)
         last[peer] = seq - 1
         return consumed
 
@@ -273,6 +281,7 @@ class ChannelState:
     def _enqueue_wave(self, kind: MessageKind, seq: int, payload: Transaction) -> None:
         # one echo and one ready per sequence, fanned out to every agent
         (self.echo_sent if kind is MessageKind.ECHO else self.ready_sent).add(seq)
+        self._waves += 1
         entry = (seq, kind is MessageKind.READY, BroadcastMessage(self.owner, kind, seq, payload))
         for peer in self.peers:
             heapq.heappush(self.out_queues[peer], entry)

@@ -152,6 +152,14 @@ class TraceView:
                     self.quiescent = bool(rec["quiescent"])
         except KeyError as exc:
             raise ValueError(_bad_record(rec, exc.args[0])) from None
+        except TypeError:
+            agent = rec.get("agent")
+            if isinstance(agent, (list, dict)):  # unhashable, so no index took it
+                raise ValueError(
+                    f"record {rec.get('idx')} ({rec.get('kind')}) names agent {agent!r}, "
+                    "not an agent id"
+                ) from None
+            raise
 
     def verdicts(self, agent: int) -> dict[TxId, str]:
         return {_txid(r["txid"]): r["verdict"] for r in self.executes[agent]}

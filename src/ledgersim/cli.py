@@ -48,7 +48,14 @@ def flag(raw: dict, key: str) -> bool:
     return value
 
 
-def parse_action(raw: dict) -> dict:
+def integer(value, name: str) -> int:
+    """A JSON integer; a bool, float or string is rejected, not rounded."""
+    if type(value) is not int:
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def parse_action(raw: dict, where: str) -> dict:
     verbs = [k for k in raw if k in ("pay", "backfill")]
     if len(verbs) != 1:
         raise ConfigInvalid(f"script action must name exactly one verb, got {sorted(raw)}")
@@ -57,8 +64,8 @@ def parse_action(raw: dict) -> dict:
     action = {"type": verb}
     if verb == "pay":
         action.update(
-            to=int(body["to"]),
-            amount=int(body["amount"]),
+            to=integer(body["to"], f"{where}.pay.to"),
+            amount=integer(body["amount"], f"{where}.pay.amount"),
             convert_fees=flag(body, "convert_fees"),
         )
     return action
@@ -71,8 +78,9 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
     seed = scenario_seeds(raw, None)[0] if seed_override is None else seed_override
     try:
         agents = [
-            AgentSpec(int(a["id"]), StrategyKind(a["kind"]), a.get("params", {}))
-            for a in raw["agents"]
+            AgentSpec(integer(a["id"], f"agents[{k}].id"), StrategyKind(a["kind"]),
+                      a.get("params", {}))
+            for k, a in enumerate(raw["agents"])
         ]
         for spec in agents:
             if not isinstance(spec.params, dict):
@@ -82,23 +90,25 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
             except ValueError as exc:
                 raise ConfigInvalid(f"agent {spec.id}: bad params: {exc}") from None
         script = [
-            ScriptAction(int(s["tick"]), int(s["agent"]), parse_action(s["action"]))
-            for s in raw.get("script", [])
+            ScriptAction(integer(s["tick"], f"script[{k}].tick"),
+                         integer(s["agent"], f"script[{k}].agent"),
+                         parse_action(s["action"], f"script[{k}].action"))
+            for k, s in enumerate(raw.get("script", []))
         ]
         config = SimConfig(
-            n=int(raw["n"]),
-            t=int(raw["t"]),
-            epsilon=int(raw.get("epsilon", 1)),
-            initial_balance=int(raw.get("initial_balance", 1000)),
+            n=integer(raw["n"], "n"),
+            t=integer(raw["t"], "t"),
+            epsilon=integer(raw.get("epsilon", 1), "epsilon"),
+            initial_balance=integer(raw.get("initial_balance", 1000), "initial_balance"),
             seed=seed,
-            d_min=int(raw.get("d_min", 1)),
-            d_max=int(raw.get("d_max", 1)),
+            d_min=integer(raw.get("d_min", 1), "d_min"),
+            d_max=integer(raw.get("d_max", 1), "d_max"),
             fifo_channels=flag(raw, "fifo_channels"),
             condition3_strict=flag(raw, "condition3_strict"),
             msg_cost_c=raw.get("msg_cost_c", 0),
             agents=agents,
             script=script,
-            max_steps=int(raw.get("max_steps", 1_000_000)),
+            max_steps=integer(raw.get("max_steps", 1_000_000), "max_steps"),
         )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad scenario field: {exc}") from exc
@@ -120,12 +130,12 @@ def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
             else:
                 seeds = [int(s) for s in flag.split(",")]
         elif "seeds" in raw:
-            seeds = [int(s) for s in raw["seeds"]]
+            seeds = [integer(s, f"seeds[{k}]") for k, s in enumerate(raw["seeds"])]
         elif "seed_range" in raw:
             lo, hi = raw["seed_range"]
-            seeds = range(int(lo), int(hi) + 1)
+            seeds = range(integer(lo, "seed_range[0]"), integer(hi, "seed_range[1]") + 1)
         else:
-            seeds = [int(raw.get("seed", 0))]
+            seeds = [integer(raw.get("seed", 0), "seed")]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad seeds: {exc}") from None
     if not seeds:

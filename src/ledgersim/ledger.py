@@ -111,7 +111,8 @@ class LedgerState:
     def conditions_met(self, tx: Transaction) -> bool:
         if self.S[tx.initiator] != tx.seq - 1:
             return False
-        if any(t not in self.executed for t in tx.deps | tx.fees):
+        done = self.executed.keys()
+        if not (done >= tx.deps and done >= tx.fees):
             return False
         return self.fee_covered(tx.initiator, tx.fees)
 
@@ -151,8 +152,8 @@ class LedgerState:
         if not bad:
             self.commit(tx)
         self.B[init] -= self.n * self.epsilon  # fee charged either way
-        for j in self.F:
-            self.F[j].add(tx.id)
+        for credits in self.F.values():
+            credits.add(tx.id)
         self.S[init] += 1
         self.exec_buffer.pop(tx.id, None)
         report = ExecutionReport(tx, bad, dep_credit, tuple(converted))

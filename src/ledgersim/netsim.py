@@ -123,10 +123,10 @@ class Simulator:
         self.now = 0
         # tick -> events in scheduling order: a ScriptAction or (frm, to, msg)
         self._calendar: dict[int, list] = {}
-        self._ticks: list[int] = []  # heap of the calendar's ticks
         self._fifo_floor: dict[tuple[AgentId, AgentId], int] = {}
         # keyed once; each SEND hashes on a copy
         self._delay_hash = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little"))
+        self._d_min, self._span = config.d_min, config.d_max - config.d_min + 1
         self.recorder.emit(
             "CONFIG",
             n=config.n,
@@ -152,7 +152,8 @@ class Simulator:
         for agent in self.agents.values():
             self.recorder.emit("SNAPSHOT", **agent.ledger.snapshot())
         for item in config.script:
-            self._enqueue(item.tick, item)
+            self._calendar.setdefault(item.tick, []).append(item)
+        self._ticks: list[int] = sorted(self._calendar)  # heap of the calendar's ticks
 
     def run(self) -> RunResult:
         steps, max_steps = 0, self.config.max_steps
@@ -186,34 +187,34 @@ class Simulator:
         emit("END", quiescent=quiescent, steps=steps)
         return RunResult(recorder.records, agents, quiescent, steps)
 
-    def _enqueue(self, tick: int, event) -> None:
-        bucket = self._calendar.get(tick)
-        if bucket is None:
-            self._calendar[tick] = [event]
-            heapq.heappush(self._ticks, tick)
-        else:
-            bucket.append(event)
-
     def _schedule(self, frm: AgentId, outputs: list[tuple[AgentId, BroadcastMessage]]) -> None:
         now, emit, fifo = self.now, self.recorder.emit, self.config.fifo_channels
+        calendar, ticks, delay = self._calendar, self._ticks, self._delay
+        wave = None
         for to, msg in outputs:
             if to == frm:
-                self._calendar[now].append((frm, to, msg))  # loopback, later this tick
+                calendar[now].append((frm, to, msg))  # loopback, later this tick
                 continue
-            emit("SEND", agent=frm, to=to, channel=msg.channel,
-                 mkind=_MKIND[msg.kind], seq=msg.seq, digest=msg.payload.digest_hex)
-            deliver_at = now + self._delay(frm, to, msg)
+            if msg is not wave:  # a wave is one message fanned out to n-1 peers
+                wave, channel, seq = msg, msg.channel, msg.seq
+                mkind, digest = _MKIND[msg.kind], msg.payload.digest_hex
+            emit("SEND", agent=frm, to=to, channel=channel, mkind=mkind, seq=seq, digest=digest)
+            deliver_at = now + delay(frm, to, msg)
             if fifo:
                 deliver_at = max(deliver_at, self._fifo_floor.get((frm, to), 0))
                 self._fifo_floor[(frm, to)] = deliver_at
-            self._enqueue(deliver_at, (frm, to, msg))
+            bucket = calendar.get(deliver_at)
+            if bucket is None:
+                calendar[deliver_at] = [(frm, to, msg)]
+                heapq.heappush(ticks, deliver_at)
+            else:
+                bucket.append((frm, to, msg))
 
     def _delay(self, frm: AgentId, to: AgentId, msg: BroadcastMessage) -> int:
         h = self._delay_hash.copy()
-        h.update(_DELAY_FIELDS.pack(frm, to, msg.channel, msg.seq, _KIND_CODE[msg.kind]))
-        h.update(msg.payload.digest)
-        span = self.config.d_max - self.config.d_min + 1
-        return self.config.d_min + int.from_bytes(h.digest(), "little") % span
+        h.update(_DELAY_FIELDS.pack(frm, to, msg.channel, msg.seq, _KIND_CODE[msg.kind])
+                 + msg.payload.digest)
+        return self._d_min + int.from_bytes(h.digest(), "little") % self._span
 
 
 def run(config: SimConfig) -> RunResult:

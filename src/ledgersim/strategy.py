@@ -17,7 +17,7 @@ from typing import Mapping
 from .broadcast import BroadcastMessage, ChannelState, MessageKind, Thresholds
 from .ledger import ExecutionReport, InsufficientBalance, LedgerState
 from .trace import TraceRecorder, tx_fields, txid_field
-from .transaction import AgentId, Transaction, TxId
+from .transaction import WIRE_MAX, AgentId, Transaction, TxId
 
 
 class StrategyKind(str, Enum):
@@ -122,7 +122,7 @@ class AgentStack:
 def _natural(value) -> int:
     """A value that fits the wire encoding's unsigned 64-bit fields."""
     number = int(value)
-    if not 0 <= number < 2**64:
+    if not 0 <= number <= WIRE_MAX:
         raise ValueError("must be in 0..2**64-1")
     return number
 
@@ -189,7 +189,9 @@ class CompliantBehavior:
     def on_message(self, stack: AgentStack, frm: AgentId, msg: BroadcastMessage) -> list:
         channel = stack.channels[msg.channel]
         outcome = channel.on_receive(frm, msg)
-        outputs = list(outcome.outbound)
+        outputs = outcome.outbound  # a fresh list per receipt, ours to extend
+        if not outcome.delivered:
+            return self.filter_outbound(stack, outputs)
         for seq, tx in outcome.delivered:
             stack.record_deliver(msg.channel, seq, tx)
             if tx.initiator != msg.channel or tx.seq != seq:
@@ -205,8 +207,7 @@ class CompliantBehavior:
                 # one delivery can execute several buffered transactions;
                 # each SNAPSHOT must show the ledger right after its own
                 stack.ledger.on_rrb_deliver(tx, stack.record_execution)
-        if outcome.delivered:
-            outputs.extend(stack.issue_pending(self))
+        outputs.extend(stack.issue_pending(self))
         return self.filter_outbound(stack, outputs)
 
 
@@ -224,7 +225,8 @@ class EquivocateBehavior(CompliantBehavior):
     """Emits two INITIALs with the same seq and different recipients/values.
 
     params: alt_to, alt_amount (the second payload's recipient and value;
-    by default another agent and amount + 1), alt_targets (the agents sent
+    by default another agent and amount + 1, or amount - 1 where amount + 1
+    would not fit the 64-bit wire field), alt_targets (the agents sent
     the second payload; by default the last third of the others).
     """
 
@@ -244,7 +246,9 @@ class EquivocateBehavior(CompliantBehavior):
         alt_to = self.alt_to
         if alt_to is None:
             alt_to = next(i for i in others if i != to)
-        alt_amount = amount + 1 if self.alt_amount is None else self.alt_amount
+        alt_amount = self.alt_amount
+        if alt_amount is None:
+            alt_amount = amount + 1 if amount < WIRE_MAX else amount - 1
         alt_targets = self.alt_targets
         if alt_targets is None:
             alt_targets = set(others[len(others) - len(others) // 3:])
@@ -256,7 +260,9 @@ class EquivocateBehavior(CompliantBehavior):
 class OverdraftBehavior(CompliantBehavior):
     """Broadcasts a payment its balance cannot cover; executes everywhere as bad.
 
-    params: extra (how far the value exceeds the balance; default 100).
+    params: extra (how far the value exceeds the balance; default 100). The
+    value is capped at WIRE_MAX, which still overdraws while the balance is
+    below WIRE_MAX + n*epsilon.
     """
 
     def __init__(self, params):
@@ -264,7 +270,7 @@ class OverdraftBehavior(CompliantBehavior):
         self.extra = _param(params, "extra", _natural, 100)
 
     def mint(self, stack, action):
-        value = stack.ledger.B[stack.id] + self.extra
+        value = min(stack.ledger.B[stack.id] + self.extra, WIRE_MAX)
         tx = Transaction(stack.id, int(action["to"]), value, stack.own_channel().next_seq)
         return stack.own_channel().broadcast(tx)
 

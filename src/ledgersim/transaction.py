@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple
 
 AgentId = int
 Money = int
+WIRE_MAX = 2**64 - 1  # the largest value an encoded 64-bit field holds
 
 
 class TxId(NamedTuple):
@@ -50,6 +51,8 @@ class Transaction:
     digest: bytes = field(init=False, repr=False, compare=False)
     # the 16-hex-digit digest prefix every SEND, RECV and RRB_DELIVER record carries
     digest_hex: str = field(init=False, repr=False, compare=False)
+    # (initiator, seq), built once: every agent's fee-credit set holds this object
+    id: TxId = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deps", frozenset(TxId(*t) for t in self.deps))
@@ -60,7 +63,4 @@ class Transaction:
         digest = hashlib.sha256(raw).digest()
         object.__setattr__(self, "digest", digest)
         object.__setattr__(self, "digest_hex", digest[:8].hex())
-
-    @property
-    def id(self) -> TxId:
-        return TxId(self.initiator, self.seq)
+        object.__setattr__(self, "id", TxId(self.initiator, self.seq))

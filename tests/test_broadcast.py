@@ -1,4 +1,5 @@
 import bisect
+import copy
 import random
 from itertools import count
 
@@ -220,6 +221,58 @@ def test_first_entry_wins_for_a_sequence():
     ch.on_receive(3, echo(1, second))
     assert ch.echo_tally[(1, blocked.digest)] == 1
     assert (1, second.digest) not in ch.echo_tally
+
+
+@pytest.mark.parametrize("vote", [echo, ready])
+def test_in_order_vote_is_counted_without_queueing(vote):
+    ch = ChannelState(1, 2, N4, Records())
+    payload = tx(1)
+    assert ch.flush_in_queues(3, vote(1, payload)) == [(1, payload)]
+    tally, last, queues = ((ch.echo_tally, ch.last_echo, ch.in_echo_queues) if vote is echo
+                           else (ch.ready_tally, ch.last_ready, ch.in_ready_queues))
+    assert tally == {(1, payload.digest): 1}
+    assert last[3] == 1
+    assert queues[3] == {}
+
+
+@pytest.mark.parametrize("vote", [echo, ready])
+def test_missing_seq_drains_what_queued_behind_it_ascending(vote):
+    ch = ChannelState(1, 2, N4, Records())
+    one, two, three = tx(1), tx(2), tx(3)
+    assert ch.flush_in_queues(3, vote(3, three)) == []
+    assert ch.flush_in_queues(3, vote(2, two)) == []
+    queues = ch.in_echo_queues if vote is echo else ch.in_ready_queues
+    assert queues[3] == {2: two, 3: three}
+    assert ch.flush_in_queues(3, vote(1, one)) == [(1, one), (2, two), (3, three)]
+    assert queues[3] == {}
+    assert (ch.last_echo if vote is echo else ch.last_ready)[3] == 3
+
+
+def test_repeat_at_or_below_last_changes_nothing():
+    ch = ChannelState(1, 2, N4, Records())
+    for seq in (1, 2):
+        ch.on_receive(3, echo(seq, tx(seq)))
+    ch.on_receive(3, echo(4, tx(4)))  # queued behind the gap at 3
+    before = copy.deepcopy((channel_state(ch), ch.in_echo_queues, ch.in_ready_queues))
+    for seq in (1, 2):
+        assert ch.flush_in_queues(3, echo(seq, tx(seq, value=9))) == []
+        assert ch.on_receive(3, echo(seq, tx(seq))) == ReceiveOutcome([], [])
+    assert (channel_state(ch), ch.in_echo_queues, ch.in_ready_queues) == before
+    assert ch.emit == []
+
+
+def test_receipt_from_a_peer_with_nothing_queued_releases_and_emits_nothing():
+    ch = ChannelState(1, 3, N4, Records())
+    for frm in (1, 2):
+        ch.on_receive(frm, ready(1, tx(1)))  # both waves of seq 1, released to everyone
+    assert not any(ch.out_queues.values())
+    ch.emit.clear()
+    first = ch.on_receive(4, echo(1, tx(1)))
+    second = ch.on_receive(4, echo(2, tx(2)))
+    assert first.outbound == [] and second.outbound == []
+    # each outbound is a fresh list, which its caller may extend in place
+    assert first.outbound is not second.outbound
+    assert ch.emit == []
 
 
 # -- outgoing gate and retaliation ---------------------------------------------

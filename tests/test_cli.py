@@ -6,6 +6,7 @@ import pytest
 
 from ledgersim.cli import main
 from ledgersim.netsim import run
+from ledgersim.transaction import Transaction
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -185,7 +186,10 @@ def set_first(kind, key, value):
         (lambda lines: lines.__setitem__(3, lines[3][:-5]), "Unterminated string starting at: line 4"),
         (lambda lines: lines.pop(0), "record 1 (SNAPSHOT) comes first, not CONFIG"),
         (lambda lines: lines.clear(), "trace is empty"),
-        (set_first("EXECUTE", "agent", [1]), "unhashable type: 'list'"),
+        (set_first("EXECUTE", "agent", [1]),
+         "record 53 (EXECUTE) names agent [1], not an agent id"),
+        (set_first("SEND", "agent", [1]),
+         "record 5 (SEND) names agent [1], not an agent id"),
         (set_first("EXECUTE", "txid", [1]), "list index out of range"),
         (set_first("EXECUTE", "converted", None), "object of type 'NoneType' has no len()"),
         (set_first("SNAPSHOT", "B", "abc"), "'<' not supported between instances of 'str'"),
@@ -193,7 +197,7 @@ def set_first(kind, key, value):
         (set_first("CONFIG", "agents", None), "'NoneType' object is not iterable"),
     ],
     ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty",
-         "execute-agent-list", "execute-txid-short", "execute-converted-null",
+         "execute-agent-list", "send-agent-list", "execute-txid-short", "execute-converted-null",
          "snapshot-balances-str", "deliver-seq-list", "config-agents-null"],
 )
 def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
@@ -236,6 +240,38 @@ def test_malformed_behavior_param_exits_two(tmp_path, capsys, kind, params, phra
     assert f"error: agent 4: bad params: {phrase}" in err
 
 
+@pytest.mark.parametrize(
+    "kind,balance,amount",
+    [("BYZ_OVERDRAFT", 2**64, 25), ("BYZ_EQUIVOCATE", 2**65, 2**64 - 1)],
+    ids=["overdraft", "equivocate"],
+)
+def test_byzantine_mint_at_the_wire_limit_stays_wire_valid(
+    tmp_path, capsys, kind, balance, amount
+):
+    # the deviant value would be 2**64 + 100 or 2**64 by default
+    body = json.loads((SCENARIOS / "allgood.json").read_text())
+    body["initial_balance"] = balance
+    body["agents"][0]["kind"] = kind
+    body["script"][0]["action"]["pay"]["amount"] = amount
+    trace = tmp_path / "run.jsonl"
+    code = main(["run", write_scenario(tmp_path, body), "--check", "--trace", str(trace)])
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(verdicts) == 9
+    assert code == (0 if all(v.startswith("[PASS]") for v in verdicts) else 1)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    if kind == "BYZ_OVERDRAFT":
+        # capped at the wire field's largest value, which still overdraws
+        own = [r for r in records if r["kind"] == "EXECUTE" and r["txid"][0] == 1]
+        assert own and all(r["verdict"] == "bad" for r in own)
+        assert {r["tx"]["value"] for r in own} == {2**64 - 1}
+    else:
+        # the alt payload pays amount - 1 where amount + 1 would overflow
+        initials = {r["digest"] for r in records if r["kind"] == "SEND"
+                    and r["mkind"] == "INITIAL" and r["channel"] == 1 and r["seq"] == 1}
+        assert initials == {Transaction(1, 2, 2**64 - 1, 1).digest_hex,
+                            Transaction(1, 3, 2**64 - 2, 1).digest_hex}
+
+
 def pay_to(to, amount=5):
     return [{"tick": 0, "agent": 1, "action": {"pay": {"to": to, "amount": amount}}}]
 
@@ -254,11 +290,33 @@ def pay_to(to, amount=5):
         (minimal_scenario(agents=[{"id": i, "kind": "COMPLIANT", "params": [1]}
                                   for i in range(1, 5)]),
          "params must be an object"),
-        (minimal_scenario(d_max=float("inf")), "cannot convert float infinity to integer"),
+        (minimal_scenario(d_max=float("inf")), "d_max must be an integer, got inf"),
         (minimal_scenario(seed_range=[3]), "bad seeds: not enough values to unpack"),
         (minimal_scenario(seed_range=[1, 2, 3]), "bad seeds: too many values to unpack"),
         (minimal_scenario(seed_range=[5, 1]), "no seeds to run"),
         (minimal_scenario(seeds=5), "bad seeds: 'int' object is not iterable"),
+        (minimal_scenario(n="4"), "n must be an integer, got '4'"),
+        (minimal_scenario(t=True), "t must be an integer, got True"),
+        (minimal_scenario(epsilon=1.5), "epsilon must be an integer, got 1.5"),
+        (minimal_scenario(initial_balance=1000.5),
+         "initial_balance must be an integer, got 1000.5"),
+        (minimal_scenario(d_min=1.0), "d_min must be an integer, got 1.0"),
+        (minimal_scenario(d_max=3.5), "d_max must be an integer, got 3.5"),
+        (minimal_scenario(max_steps=1e6), "max_steps must be an integer, got 1000000.0"),
+        (minimal_scenario(seed="3"), "seed must be an integer, got '3'"),
+        (minimal_scenario(seeds=[4, 9.5]), "seeds[1] must be an integer, got 9.5"),
+        (minimal_scenario(seed_range=[1, 2.5]), "seed_range[1] must be an integer, got 2.5"),
+        (minimal_scenario(agents=[{"id": i if i < 4 else "4", "kind": "COMPLIANT"}
+                                  for i in range(1, 5)]),
+         "agents[3].id must be an integer, got '4'"),
+        (minimal_scenario(script=[dict(pay_to(2)[0], tick=1.5)]),
+         "script[0].tick must be an integer, got 1.5"),
+        (minimal_scenario(script=[dict(pay_to(2)[0], agent=False)]),
+         "script[0].agent must be an integer, got False"),
+        (minimal_scenario(script=pay_to("2")),
+         "script[0].action.pay.to must be an integer, got '2'"),
+        (minimal_scenario(script=pay_to(2, amount=2.5)),
+         "script[0].action.pay.amount must be an integer, got 2.5"),
         (5, "scenario must be a JSON object"),
         (None, "scenario must be a JSON object"),
         ([1], "scenario must be a JSON object"),
@@ -267,6 +325,9 @@ def pay_to(to, amount=5):
     ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
          "seed_range-short", "seed_range-long", "seed_range-empty", "seeds-int",
+         "n-str", "t-bool", "epsilon-float", "initial_balance-float", "d_min-float",
+         "d_max-float", "max_steps-float", "seed-str", "seeds-float-item", "seed_range-float",
+         "agent-id-str", "tick-float", "script-agent-bool", "to-str", "amount-float",
          "number", "null", "array", "string"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
@@ -305,7 +366,7 @@ def test_infinite_seed_exits_two_with_a_message(tmp_path, capsys, verb):
     path = write_scenario(tmp_path, body)
     assert "Infinity" in Path(path).read_text()
     assert main([verb, path]) == 2
-    assert "cannot convert float infinity to integer" in capsys.readouterr().err
+    assert "seeds[0] must be an integer, got inf" in capsys.readouterr().err
 
 
 def test_sweep_aggregates_seeds(tmp_path, capsys):

@@ -46,6 +46,15 @@ def test_txid_property():
     assert tx.digest_hex == tx.digest.hex()[:16]
 
 
+def test_txid_is_built_once_and_left_out_of_equality():
+    a, b = Transaction(3, 1, 0, 7), Transaction(3, 1, 0, 7)
+    assert a.id is a.id
+    assert a.id == TxId(3, 7) and type(a.id) is TxId
+    assert a.id is not b.id
+    assert a == b and hash(a) == hash(b)
+    assert "id=" not in repr(a)
+
+
 def test_rejects_nothing_but_is_plain_data():
     tx = Transaction(1, 2, 0, 1)
     with pytest.raises(Exception):

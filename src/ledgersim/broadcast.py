@@ -13,14 +13,16 @@ are consumed strictly in seq order: consuming seq s moves last[peer] to s,
 an arrival at or below last[peer] is dropped, and the first arrival per seq
 wins. So a peer adds at most one vote of each kind per seq, for one digest.
 
-A receipt costs only what it changed. An ECHO or READY whose seq is the
-sender's last + 1 is counted at once, never queued, and then drains whatever
-had queued behind it; only an arrival past a gap waits in the in-queue. Only
-the (seq, digest) keys so consumed are re-evaluated, and only the sender is
-re-gated, unless the receipt enqueued a new wave, and only when the sender
-has something queued. Every quorum condition is monotone in the vote counts
-and every other queue and key was settled when it last changed, so this
-equals draining, rescanning and gating everything.
+A receipt costs only what it changed. An ECHO or READY at the sender's
+last + 1 is counted at once and drains what queued behind it; only an
+arrival past a gap waits in an in-queue. Only the (seq, digest) keys so
+consumed are re-evaluated, and only the sender is re-gated, unless the
+receipt enqueued a new wave, and only when something is held back from it.
+Every quorum condition is monotone in the vote counts and every other queue
+and key was settled when it last changed, so this equals draining,
+rescanning and gating everything. Per-peer state lives only while it holds
+something: an in-queue while a vote waits behind a gap, an out-queue while
+the gate withholds an entry, a `_blocked_at` entry while the peer is blocked.
 
 The channel writes BYZ_EVIDENCE, RETAL_BLOCK and RETAL_UNBLOCK records itself
 through the recorder's `emit`. Quorums read the payloads the drain consumed,
@@ -88,6 +90,7 @@ class Thresholds:
     echo_quorum: int = field(init=False)  # smallest integer > (n+t)/2
     ready_init: int = field(init=False)
     deliver_quorum: int = field(init=False)
+    peers: tuple[AgentId, ...] = field(init=False, repr=False, compare=False)  # 1..n, shared
 
     def __post_init__(self) -> None:
         if not 3 * self.t < self.n:
@@ -95,6 +98,7 @@ class Thresholds:
         object.__setattr__(self, "echo_quorum", (self.n + self.t) // 2 + 1)
         object.__setattr__(self, "ready_init", self.t + 1)
         object.__setattr__(self, "deliver_quorum", 2 * self.t + 1)
+        object.__setattr__(self, "peers", tuple(range(1, self.n + 1)))
 
 
 @dataclass(slots=True)
@@ -113,21 +117,19 @@ class ChannelState:
     """One agent's view of one broadcast channel."""
 
     def __init__(self, owner: AgentId, self_id: AgentId, thresholds: Thresholds, emit: Callable):
-        self.peers: tuple[AgentId, ...] = tuple(range(1, thresholds.n + 1))
         self.owner = owner
         self.self_id = self_id
         self.thresholds = thresholds
         self.emit = emit  # emit(kind, **fields) appends one trace record
         self.next_seq = 1  # meaningful on the owner only
-        self.last_echo: dict[AgentId, int] = {i: 0 for i in self.peers}
-        self.last_ready: dict[AgentId, int] = {i: 0 for i in self.peers}
-        # in-queues map seq -> payload, first arrival wins; every queued seq
-        # lies beyond last+1, behind a gap
-        self.in_echo_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
-        self.in_ready_queues: dict[AgentId, dict] = {i: {} for i in self.peers}
-        # out-queues are heaps of (seq, is READY, msg): a seq gets one ECHO
-        # and one READY, the ECHO first, so comparison never reaches msg
-        self.out_queues: dict[AgentId, list] = {i: [] for i in self.peers}
+        self.last_echo: list[int] = [0] * (thresholds.n + 1)  # by agent id
+        self.last_ready: list[int] = [0] * (thresholds.n + 1)
+        # peer -> {seq: payload} queued behind a gap, first arrival wins
+        self.in_echo_queues: dict[AgentId, dict] = {}
+        self.in_ready_queues: dict[AgentId, dict] = {}
+        # peer -> heap of the withheld (seq, is READY, msg); keys never tie
+        self.out_queues: dict[AgentId, list] = {}
+        self._fresh: list = []  # this receipt's new wave entries; on_receive flushes all
         self.echo_sent: set[int] = set()
         self.ready_sent: set[int] = set()
         self.initial_sent: set[int] = set()
@@ -136,8 +138,7 @@ class ChannelState:
         self.ready_tally: dict[tuple[int, bytes], int] = {}
         self.delivered: dict[int, bytes] = {}
         self._initial_digest: dict[int, bytes] = {}
-        self._blocked_at: dict[AgentId, int | None] = {i: None for i in self.peers}
-        self._waves = 0  # echo and ready waves enqueued so far
+        self._blocked_at: dict[AgentId, int] = {}  # blocked peer -> seq withheld
 
     # -- initiation ---------------------------------------------------------
 
@@ -155,7 +156,7 @@ class ChannelState:
             )
         self.initial_sent.add(payload.seq)
         msg = BroadcastMessage(self.owner, MessageKind.INITIAL, payload.seq, payload)
-        return [(to, msg) for to in self.peers]
+        return [(to, msg) for to in self.thresholds.peers]
 
     # -- receipt ------------------------------------------------------------
 
@@ -163,7 +164,6 @@ class ChannelState:
         if msg.channel != self.owner:
             raise WrongChannel(f"message for channel {msg.channel} on {self.owner}")
         delivered: list[tuple[int, Transaction]] = []
-        waves = self._waves
         if msg.kind is MessageKind.INITIAL:
             if frm != self.owner:
                 self._evidence("initial-from-non-owner", frm, msg.seq)
@@ -175,13 +175,9 @@ class ChannelState:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
         else:
             delivered = self._evaluate_quorums(self.flush_in_queues(frm, msg))
-        # a new wave reaches every out-queue; otherwise only frm's gate moved,
-        # and gating an empty queue would release and emit nothing
-        if self._waves != waves:
-            outbound = self.flush_out_queue(self.peers)
-        else:
-            outbound = self.flush_out_queue((frm,)) if self.out_queues[frm] else []
-        return ReceiveOutcome(outbound, delivered)
+        # a new wave reaches every peer; else only what frm's gate holds back may pass
+        peers = self.thresholds.peers if self._fresh else (frm,) if frm in self.out_queues else ()
+        return ReceiveOutcome(self.flush_out_queue(peers) if peers else [], delivered)
 
     # -- queue machinery ----------------------------------------------------
 
@@ -197,14 +193,15 @@ class ChannelState:
         consumed (seq, payload) pairs, ascending: the keys whose counts grew.
         """
         if msg.kind is MessageKind.ECHO:
-            queue, last, tally = self.in_echo_queues[peer], self.last_echo, self.echo_tally
+            queues, last, tally = self.in_echo_queues, self.last_echo, self.echo_tally
         else:
-            queue, last, tally = self.in_ready_queues[peer], self.last_ready, self.ready_tally
+            queues, last, tally = self.in_ready_queues, self.last_ready, self.ready_tally
         seq = msg.seq
         if seq != last[peer] + 1:
             if seq > last[peer]:
-                queue.setdefault(seq, msg.payload)
+                queues.setdefault(peer, {}).setdefault(seq, msg.payload)
             return []
+        queue = queues.get(peer)
         consumed = []
         payload = msg.payload
         while payload is not None:
@@ -212,37 +209,51 @@ class ChannelState:
             tally[key] = tally.get(key, 0) + 1
             consumed.append((seq, payload))
             seq += 1
-            payload = queue.pop(seq, None)
+            payload = queue.pop(seq, None) if queue else None
+        if queue is not None and not queue:
+            del queues[peer]
         last[peer] = seq - 1
         return consumed
 
     def flush_out_queue(
         self, peers: tuple[AgentId, ...]
     ) -> list[tuple[AgentId, BroadcastMessage]]:
-        """Release queued outgoing messages to peers that pass the retaliation gate.
+        """Release outgoing messages to peers that pass the retaliation gate.
 
         A message with sequence s is released to peer j only once j has
-        completed sequence s-1 (sent both its echo and its ready); the first
-        withheld entry blocks everything behind it for that peer.
+        completed s-1 (sent both its echo and its ready); the first withheld
+        entry starts j's heap, and everything behind it waits there too.
         """
         released: list[tuple[AgentId, BroadcastMessage]] = []
+        fresh, self._fresh = self._fresh, []
+        queues, blocked = self.out_queues, self._blocked_at
         for peer in peers:
-            queue = self.out_queues[peer]
+            passes = min(self.last_echo[peer], self.last_ready[peer]) + 1  # highest seq let out
+            queue = queues.get(peer)
+            if queue is None:  # so not blocked either: nothing unblocks
+                for k, entry in enumerate(fresh):
+                    if entry[0] > passes:
+                        queue = queues[peer] = fresh[k:]  # ascending, so a heap
+                        break
+                    released.append((peer, entry[2]))
+                else:
+                    continue
             while queue:
                 seq, _ready, msg = queue[0]
-                if min(self.last_echo[peer], self.last_ready[peer]) >= seq - 1:
-                    heapq.heappop(queue)
-                    if self._blocked_at[peer] == seq:
-                        self._blocked_at[peer] = None
-                        self.emit("RETAL_UNBLOCK", agent=self.self_id, channel=self.owner,
-                                  peer=peer, seq=seq)
-                    released.append((peer, msg))
-                else:
-                    if self._blocked_at[peer] != seq:
-                        self._blocked_at[peer] = seq
+                if seq > passes:
+                    if blocked.get(peer) != seq:
+                        blocked[peer] = seq
                         self.emit("RETAL_BLOCK", agent=self.self_id, channel=self.owner,
                                   peer=peer, seq=seq)
                     break
+                heapq.heappop(queue)
+                if blocked.get(peer) == seq:
+                    del blocked[peer]
+                    self.emit("RETAL_UNBLOCK", agent=self.self_id, channel=self.owner,
+                              peer=peer, seq=seq)
+                released.append((peer, msg))
+            else:
+                del queues[peer]
         return released
 
     # -- quorums and delivery -------------------------------------------------
@@ -279,9 +290,10 @@ class ChannelState:
                   reason=reason, frm=frm, seq=seq)
 
     def _enqueue_wave(self, kind: MessageKind, seq: int, payload: Transaction) -> None:
-        # one echo and one ready per sequence, fanned out to every agent
+        # one echo and one ready per sequence, for every agent. A receipt adds one ECHO, or
+        # per consumed seq, ascending, ECHO then READY, so `_fresh` stays sorted
         (self.echo_sent if kind is MessageKind.ECHO else self.ready_sent).add(seq)
-        self._waves += 1
         entry = (seq, kind is MessageKind.READY, BroadcastMessage(self.owner, kind, seq, payload))
-        for peer in self.peers:
-            heapq.heappush(self.out_queues[peer], entry)
+        self._fresh.append(entry)  # for the peers with nothing held back
+        for queue in self.out_queues.values():
+            heapq.heappush(queue, entry)

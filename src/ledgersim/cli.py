@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -238,6 +237,8 @@ def cmd_sweep(args) -> int:
     # each seed is drawn as its run starts and only failures are kept, so a
     # long range costs no memory up front
     payloads = ((raw, seed) for seed in seeds)
+    if args.workers > 1:
+        import multiprocessing  # here, so that run, check and a serial sweep never load it
     with multiprocessing.Pool(args.workers) if args.workers > 1 else nullcontext() as pool:
         results = map(_sweep_one, payloads) if pool is None else pool.imap(_sweep_one, payloads)
         failed = [f"seed {seed}: {', '.join(why)}" for seed, ok, why in results if not ok]

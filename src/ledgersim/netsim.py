@@ -24,7 +24,7 @@ from .broadcast import BroadcastMessage, MessageKind, Thresholds
 from .checker import as_fraction
 from .strategy import AgentSpec, AgentStack
 from .trace import TraceRecorder
-from .transaction import AgentId, Money
+from .transaction import WIRE_MAX, AgentId, Money
 
 _KIND_CODE = {MessageKind.INITIAL: 0, MessageKind.ECHO: 1, MessageKind.READY: 2}
 # a plain dict lookup; the Enum `value` property runs Python code on every SEND and RECV
@@ -71,6 +71,8 @@ class SimConfig:
             fail("epsilon must be at least 1")
         if self.initial_balance <= self.n * self.epsilon:
             fail("initial_balance must exceed n*epsilon")
+        if self.n * self.initial_balance > WIRE_MAX:  # then every balance fits the wire
+            fail(f"n*initial_balance is {self.n * self.initial_balance}, beyond the wire's 2**64-1")
         if not 0 <= self.seed < 2**64:
             fail("seed must fit in 64 bits")
         if self.d_min < 1:

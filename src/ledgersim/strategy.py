@@ -261,8 +261,8 @@ class OverdraftBehavior(CompliantBehavior):
     """Broadcasts a payment its balance cannot cover; executes everywhere as bad.
 
     params: extra (how far the value exceeds the balance; default 100). The
-    value is capped at WIRE_MAX, which still overdraws while the balance is
-    below WIRE_MAX + n*epsilon.
+    value is capped at WIRE_MAX, which still overdraws: SimConfig bounds the
+    money supply, so no balance exceeds WIRE_MAX.
     """
 
     def __init__(self, params):

@@ -1,5 +1,6 @@
 import bisect
 import copy
+import heapq
 import random
 from itertools import count
 
@@ -15,7 +16,9 @@ from ledgersim.broadcast import (
     Thresholds,
     WrongChannel,
 )
+from ledgersim.netsim import Simulator
 from ledgersim.transaction import Transaction
+from helpers import make_config
 
 N4 = Thresholds(4, 1)
 N7 = Thresholds(7, 2)
@@ -232,7 +235,7 @@ def test_in_order_vote_is_counted_without_queueing(vote):
                            else (ch.ready_tally, ch.last_ready, ch.in_ready_queues))
     assert tally == {(1, payload.digest): 1}
     assert last[3] == 1
-    assert queues[3] == {}
+    assert queues == {}
 
 
 @pytest.mark.parametrize("vote", [echo, ready])
@@ -244,7 +247,7 @@ def test_missing_seq_drains_what_queued_behind_it_ascending(vote):
     queues = ch.in_echo_queues if vote is echo else ch.in_ready_queues
     assert queues[3] == {2: two, 3: three}
     assert ch.flush_in_queues(3, vote(1, one)) == [(1, one), (2, two), (3, three)]
-    assert queues[3] == {}
+    assert queues == {}  # a drained in-queue is dropped
     assert (ch.last_echo if vote is echo else ch.last_ready)[3] == 3
 
 
@@ -265,7 +268,7 @@ def test_receipt_from_a_peer_with_nothing_queued_releases_and_emits_nothing():
     ch = ChannelState(1, 3, N4, Records())
     for frm in (1, 2):
         ch.on_receive(frm, ready(1, tx(1)))  # both waves of seq 1, released to everyone
-    assert not any(ch.out_queues.values())
+    assert ch.out_queues == {} and ch._blocked_at == {}
     ch.emit.clear()
     first = ch.on_receive(4, echo(1, tx(1)))
     second = ch.on_receive(4, echo(2, tx(2)))
@@ -314,6 +317,81 @@ def test_backfill_reopens_gate_in_order():
     assert ch.emit == [{"kind": "RETAL_UNBLOCK", "agent": 3, "channel": 1, "peer": 2, "seq": 2}]
 
 
+# -- per-peer state on first use -----------------------------------------------
+
+
+def release_order(heap):
+    heap = list(heap)
+    return [heapq.heappop(heap)[:2] for _ in range(len(heap))]
+
+
+def test_in_order_traffic_leaves_no_per_peer_state():
+    ch = ChannelState(1, 2, N4, Records())
+    for s in (1, 2, 3):
+        ch.on_receive(1, initial(s, tx(s)))
+        for vote in (echo, ready):
+            for frm in N4.peers:
+                ch.on_receive(frm, vote(s, tx(s)))
+                assert ch.in_echo_queues == {} and ch.in_ready_queues == {}
+                assert ch.out_queues == {} and ch._blocked_at == {}
+    assert sorted(ch.delivered) == [1, 2, 3]
+    assert ch.emit == []
+
+
+def test_a_withholding_peer_s_heap_holds_exactly_the_withheld_entries():
+    # agent 3's view of channel 1: readies from 3 and 4 start both waves of
+    # seqs 1-3, and no peer has echoed, so every peer gets seq 1 only
+    ch = ChannelState(1, 3, N4, Records())
+    for s in (1, 2, 3):
+        for frm in (3, 4):
+            ch.on_receive(frm, ready(s, tx(s)))
+    withheld = [(2, False), (2, True), (3, False), (3, True)]
+    assert {peer: release_order(q) for peer, q in ch.out_queues.items()} == {
+        peer: withheld for peer in N4.peers
+    }
+    assert ch._blocked_at == {peer: 2 for peer in N4.peers}
+    ch.emit.clear()
+    # peer 2 backfills seqs 1 and 2, which releases its heap in order
+    out = []
+    for s in (1, 2):
+        out += ch.on_receive(2, echo(s, tx(s))).outbound
+        out += ch.on_receive(2, ready(s, tx(s))).outbound
+    assert [(m.seq, m.kind is MessageKind.READY) for to, m in out if to == 2] == withheld
+    assert [(r["kind"], r["seq"]) for r in ch.emit] == [
+        ("RETAL_UNBLOCK", 2), ("RETAL_BLOCK", 3), ("RETAL_UNBLOCK", 3)]
+    assert set(ch.out_queues) == set(ch._blocked_at) == {1, 3, 4}
+
+
+def test_a_simulator_builds_no_per_peer_state_before_traffic():
+    sim = Simulator(make_config(n=46, t=15))
+    peers = sim.thresholds.peers
+    assert peers == tuple(range(1, 47))
+    for stack in sim.agents.values():
+        for ch in stack.channels.values():
+            assert ch.thresholds.peers is peers
+            assert ch.in_echo_queues == {} and ch.in_ready_queues == {}
+            assert ch.out_queues == {} and ch._blocked_at == {}
+
+
+class SortedFreshChannel(ChannelState):
+    """Checks, as each flush starts, that the receipt's new wave entries
+    arrive in release order, which lets the gate walk them without a heap."""
+
+    def flush_out_queue(self, peers):
+        keys = [entry[:2] for entry in self._fresh]
+        assert keys == sorted(set(keys))
+        return super().flush_out_queue(peers)
+
+
+@pytest.mark.parametrize("th", [N4, N7])
+@pytest.mark.parametrize("seed", range(3))
+def test_new_wave_entries_arrive_in_release_order(th, seed):
+    ch = SortedFreshChannel(1, 2, th, Records())
+    for frm, msg in storm(random.Random(seed), th.n, 150 * th.n):
+        ch.on_receive(frm, msg)
+    assert ch.delivered
+
+
 # -- delivery -------------------------------------------------------------------
 
 
@@ -357,7 +435,7 @@ def assert_counts_match_lasts(ch):
         votes = {}
         for (seq, _dig), count in tally.items():
             votes[seq] = votes.get(seq, 0) + count
-        peers = {s: sum(l >= s for l in last.values()) for s in range(1, max(last.values()) + 1)}
+        peers = {s: sum(l >= s for l in last[1:]) for s in range(1, max(last) + 1)}
         assert votes == peers
 
 
@@ -368,7 +446,7 @@ def test_random_storm_preserves_instance_invariants(seed):
     payloads = {s: tx(s) for s in range(1, 6)}
     fakes = {s: tx(s, value=90 + s) for s in range(1, 6)}
     waves = 0
-    prev_echo, prev_ready = dict(ch.last_echo), dict(ch.last_ready)
+    prev_echo, prev_ready = list(ch.last_echo), list(ch.last_ready)
     for _ in range(300):
         frm = rng.choice([1, 3, 4])
         seq = rng.randrange(1, 6)
@@ -379,17 +457,20 @@ def test_random_storm_preserves_instance_invariants(seed):
             continue
         ch.on_receive(frm, msg)
         # last vectors only move forward
-        for peer in ch.last_echo:
+        for peer in N4.peers:
             assert ch.last_echo[peer] >= prev_echo[peer]
             assert ch.last_ready[peer] >= prev_ready[peer]
-        prev_echo, prev_ready = dict(ch.last_echo), dict(ch.last_ready)
+        prev_echo, prev_ready = list(ch.last_echo), list(ch.last_ready)
         # every queued in-entry waits behind a gap; out-queues are heaps keyed
-        # (seq, is READY), and no key repeats
+        # (seq, is READY), and no key repeats; a queue exists only while it
+        # holds something, and only a peer with a heap is blocked
         for queues, last in ((ch.in_echo_queues, ch.last_echo),
                              (ch.in_ready_queues, ch.last_ready)):
             for peer, entries in queues.items():
-                assert all(seq > last[peer] + 1 for seq in entries)
+                assert entries and all(seq > last[peer] + 1 for seq in entries)
+        assert set(ch._blocked_at) <= set(ch.out_queues)
         for entries in ch.out_queues.values():
+            assert entries
             keys = [e[:2] for e in entries]
             assert all(keys[(k - 1) // 2] <= keys[k] for k in range(1, len(keys)))
             assert len(set(keys)) == len(keys)
@@ -412,10 +493,14 @@ class FullRescanChannel(ChannelState):
 
     def __init__(self, owner, self_id, thresholds):
         super().__init__(owner, self_id, thresholds, emit=None)
+        self.peers = thresholds.peers
         self.events = []
         self._payloads = {}
+        # its own eager queues and blocked slots, one per peer from the start
         self.in_echo_queues = {i: [] for i in self.peers}
         self.in_ready_queues = {i: [] for i in self.peers}
+        self.out_queues = {i: [] for i in self.peers}
+        self._blocked_at = {i: None for i in self.peers}
         self.echo_voters = {}
         self.ready_voters = {}
         self._arrivals = count()
@@ -525,9 +610,11 @@ def storm(rng, n, steps):
 
 
 def channel_state(ch):
-    # out-queue contents in release order, from a heap or from a sorted list
+    # pending out-queue entries per peer in release order, from a heap or
+    # from a sorted list; an empty queue and an absent one both hold nothing
     out = {peer: [(e[0], e[-1]) for e in sorted(q, key=lambda e: e[:2])]
-           for peer, q in ch.out_queues.items()}
+           for peer, q in ch.out_queues.items() if q}
+    blocked = {peer: seq for peer, seq in ch._blocked_at.items() if seq is not None}
     # vote counts, or the size of each of the reference's voter sets
     if isinstance(ch, FullRescanChannel):
         tallies = tuple({key: len(peers) for key, peers in voters.items()}
@@ -535,7 +622,7 @@ def channel_state(ch):
     else:
         tallies = (ch.echo_tally, ch.ready_tally)
     return (*tallies, ch.last_echo, ch.last_ready, ch.delivered,
-            ch.echo_sent, ch.ready_sent, out, ch.next_seq)
+            ch.echo_sent, ch.ready_sent, out, blocked, ch.next_seq)
 
 
 @pytest.mark.parametrize("th,self_id", [(N4, 1), (N4, 2), (N7, 1), (N7, 5)])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -240,18 +243,24 @@ def test_malformed_behavior_param_exits_two(tmp_path, capsys, kind, params, phra
     assert f"error: agent 4: bad params: {phrase}" in err
 
 
+def allgood(**over):
+    body = json.loads((SCENARIOS / "allgood.json").read_text())
+    body.update(over)
+    return body
+
+
 @pytest.mark.parametrize(
-    "kind,balance,amount",
-    [("BYZ_OVERDRAFT", 2**64, 25), ("BYZ_EQUIVOCATE", 2**65, 2**64 - 1)],
+    "kind,params,amount",
+    [("BYZ_OVERDRAFT", {"extra": 2**64 - 1}, 25), ("BYZ_EQUIVOCATE", {}, 2**64 - 1)],
     ids=["overdraft", "equivocate"],
 )
 def test_byzantine_mint_at_the_wire_limit_stays_wire_valid(
-    tmp_path, capsys, kind, balance, amount
+    tmp_path, capsys, kind, params, amount
 ):
-    # the deviant value would be 2**64 + 100 or 2**64 by default
-    body = json.loads((SCENARIOS / "allgood.json").read_text())
-    body["initial_balance"] = balance
-    body["agents"][0]["kind"] = kind
+    # the deviant value would be 1000 + 2**64 - 1 or 2**64; the equivocator
+    # checks no funds, so a balance of 1000 still sends the 2**64 - 1 pay
+    body = allgood()
+    body["agents"][0].update(kind=kind, params=params)
     body["script"][0]["action"]["pay"]["amount"] = amount
     trace = tmp_path / "run.jsonl"
     code = main(["run", write_scenario(tmp_path, body), "--check", "--trace", str(trace)])
@@ -282,7 +291,7 @@ def pay_to(to, amount=5):
         (minimal_scenario(script=pay_to(9)), "pays unknown agent 9"),
         (minimal_scenario(script=pay_to(1)), "pays itself"),
         (minimal_scenario(script=pay_to(2, amount=-5)), "negative amount"),
-        (minimal_scenario(initial_balance=10**20, script=pay_to(2, amount=2**64)),
+        (minimal_scenario(script=pay_to(2, amount=2**64)),
          "pays 18446744073709551616, beyond the 64-bit wire field"),
         (minimal_scenario(msg_cost_c="abc"), "msg_cost_c"),
         (minimal_scenario(fifo_channels="false"), "fifo_channels must be true or false"),
@@ -321,6 +330,10 @@ def pay_to(to, amount=5):
         (None, "scenario must be a JSON object"),
         ([1], "scenario must be a JSON object"),
         ("abc", "scenario must be a JSON object"),
+        # a supply beyond the wire field would let a capped overdraft be funded
+        (allgood(initial_balance=2**65,
+                 agents=[{"id": 1, "kind": "BYZ_OVERDRAFT"}] + allgood()["agents"][1:]),
+         f"n*initial_balance is {4 * 2**65}, beyond the wire's 2**64-1"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
@@ -328,7 +341,7 @@ def pay_to(to, amount=5):
          "n-str", "t-bool", "epsilon-float", "initial_balance-float", "d_min-float",
          "d_max-float", "max_steps-float", "seed-str", "seeds-float-item", "seed_range-float",
          "agent-id-str", "tick-float", "script-agent-bool", "to-str", "amount-float",
-         "number", "null", "array", "string"],
+         "number", "null", "array", "string", "money-supply-over-64-bits"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
     path = write_scenario(tmp_path, body)
@@ -336,6 +349,22 @@ def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phr
     assert phrase in capsys.readouterr().err
     assert main(["sweep", path]) == 2
     assert phrase in capsys.readouterr().err
+
+
+def test_run_check_and_a_serial_sweep_never_load_multiprocessing(tmp_path):
+    scenario, trace = str(SCENARIOS / "allgood.json"), str(tmp_path / "run.jsonl")
+    program = "\n".join([
+        "import sys",
+        "from ledgersim.cli import main",
+        f"assert main(['run', {scenario!r}, '--check', '--trace', {trace!r}]) == 0",
+        f"assert main(['check', {trace!r}]) == 0",
+        f"assert main(['sweep', {scenario!r}, '--seeds', '1..2']) == 0",
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'",
+    ])
+    path = [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])

@@ -136,6 +136,15 @@ def test_config_validation_names_the_violated_rule(field, value, phrase):
     assert phrase in str(err.value)
 
 
+def test_config_bounds_the_money_supply_by_the_wire_field():
+    # money is conserved, so with n*initial_balance <= 2**64-1 every balance fits
+    config = make_config(n=5, initial_balance=(2**64 - 1) // 5)
+    config.validate()
+    config.initial_balance += 1
+    with pytest.raises(L.ConfigInvalid, match=r"beyond the wire's 2\*\*64-1"):
+        config.validate()
+
+
 def test_config_rejects_wrong_agent_ids():
     config = make_config()
     config.agents = compliant_agents(3)

@@ -1,21 +1,25 @@
 """Offline oracles over trace records.
 
 `TraceView` folds one pass over any iterable of records, a list in memory or
-`trace.read_trace` streaming a file, and keeps only the records the oracles
-index. Every check reads that view and nothing else, so a trace written to
-disk and read back verifies identically, and any other implementation
-emitting the same record format can be validated against the same checks.
-Liveness-flavored checks report UNKNOWN on non-quiescent runs instead of
-failing them. The utility accounting reads the same view.
+`trace.read_trace` streaming a file. It keeps no record: of each EXECUTE,
+SNAPSHOT and RRB_DELIVER it keeps the fields the oracles read, column by
+column, with each distinct payload stored once, and a field of the wrong type
+is rejected there, naming the record. Every check reads that view and nothing
+else, so a trace written to disk and read back verifies identically, and any
+other implementation emitting the same record format can be validated
+against the same checks. Liveness-flavored checks report UNKNOWN on
+non-quiescent runs instead of failing them. The utility accounting reads the
+same view.
 """
 
 from __future__ import annotations
 
 import hashlib
+import reprlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .transaction import AgentId, Transaction, TxId, canonical_encode
 
@@ -83,23 +87,136 @@ def chain_height(root: TxId, universe: Mapping[TxId, Transaction]) -> int:
 # -- trace access -------------------------------------------------------------
 
 
-def _txid(raw) -> TxId:
-    return TxId(int(raw[0]), int(raw[1]))
+def _pair(raw) -> tuple[int, int]:
+    """A JSON [int, int] as a tuple; anything else raises TypeError."""
+    if type(raw) is list and len(raw) == 2:
+        a, b = raw
+        if type(a) is int and type(b) is int:
+            return a, b
+    raise TypeError("not an [int, int] pair")
 
 
-def _bad_record(rec: dict, key) -> str:
-    where = f"record {rec.get('idx')} ({rec.get('kind')})"
-    if "agent" in rec and rec["agent"] == key:
-        return f"{where} names agent {key!r}, absent from CONFIG"
-    return f"{where} has no field {key!r}"
+def _pairs(raw) -> tuple[tuple[int, int], ...]:
+    if type(raw) is not list:
+        raise TypeError("not a list")
+    return tuple(map(_pair, raw))
+
+
+def _payload(tx) -> tuple:
+    """An EXECUTE's `tx` as (initiator, recipient, value, seq, deps, fees).
+
+    It must have exactly these six fields: a seventh would be dropped here,
+    and two payloads that differ in it would compare equal.
+    """
+    if type(tx) is not dict or len(tx) != 6:
+        raise TypeError("not a six-field payload")
+    initiator, recipient, value, seq = tx["initiator"], tx["recipient"], tx["value"], tx["seq"]
+    if type(initiator) is not int or type(recipient) is not int or type(value) is not int \
+            or type(seq) is not int:
+        raise TypeError("not an integer")
+    return initiator, recipient, value, seq, _pairs(tx["deps"]), _pairs(tx["fees"])
+
+
+def _balances(raw, n: int) -> list[int]:
+    if type(raw) is not list or len(raw) != n or not set(map(type, raw)) <= {int}:
+        raise TypeError("not n integers")
+    return raw
+
+
+def _scalar(kind: type):
+    def parse(value, n):
+        if type(value) is not kind:
+            raise TypeError
+    return parse
+
+
+# per kind, the fields the fold reads, in the order a rejected record is
+# searched for the culprit: (name, what it must be, parse or None)
+_AGENT = ("agent", None, None)
+_FIELDS = {
+    "EXECUTE": (
+        _AGENT,
+        ("idx", "an integer", _scalar(int)),
+        ("txid", "an [int, int] pair", lambda v, n: _pair(v)),
+        ("verdict", "a string", _scalar(str)),
+        ("dep_credit", "an integer", _scalar(int)),
+        ("converted", "a list of [int, int] pairs", lambda v, n: _pairs(v)),
+        ("tx", "six fields: integer initiator, recipient, value and seq, "
+               "and deps and fees as lists of [int, int] pairs", lambda v, n: _payload(v)),
+    ),
+    "SNAPSHOT": (
+        _AGENT,
+        ("tick", "an integer", _scalar(int)),
+        ("B", "a list of one integer per agent", _balances),
+    ),
+    "RRB_DELIVER": (
+        _AGENT,
+        ("idx", "an integer", _scalar(int)),
+        ("channel", "an integer", _scalar(int)),
+        ("seq", "an integer", _scalar(int)),
+        ("digest", "a string", _scalar(str)),
+    ),
+    "SEND": (
+        _AGENT,
+        ("mkind", None, None),
+        ("channel", None, None),
+        ("seq", "an integer", _scalar(int)),
+    ),
+    "END": (("quiescent", None, None),),
+}
+
+
+class Facts:
+    """Facts of one kind, stored as parallel lists, one per field, so that
+    keeping a fact allocates no object of its own. Iterating yields each fact
+    as a tuple of its fields, in the order they were added."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, width: int):
+        self.columns = tuple([] for _ in range(width))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
+class Snapshots(Facts):
+    """(tick, B) facts; the balances of all snapshots sit in one flat list."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__(2)
+        self.n = n
+
+    def __iter__(self):
+        ticks, balances = self.columns
+        return zip(ticks, zip(*[iter(balances)] * self.n))
 
 
 class TraceView:
-    """Index over one run's records, built in one pass; checks share it.
+    """Facts from one run's records, folded in one pass; the checks share them.
 
-    The first record must be CONFIG. Every index holds references to the
-    records, never copies; records no index keeps (SEND, RECV, ...) are
-    dropped as soon as they are read.
+    The first record must be CONFIG. The view keeps no record and no list or
+    dict from one: each record it indexes becomes a fact of exactly the
+    fields the checks read, and every other record (RECV, COMMIT, ...) is
+    dropped as soon as it is read, a SEND after moving its agent's count.
+
+        EXECUTE      (idx, txid, verdict, dep_credit, converted, payload)
+        SNAPSHOT     (tick, B)
+        RRB_DELIVER  (idx, agent, channel, seq, digest)
+
+    A payload is (initiator, recipient, value, seq, deps, fees). A txid and
+    each entry of converted, deps and fees is an (initiator, seq) pair, and
+    B is a tuple of one balance per agent. `executes`, `snapshots` and
+    `delivers` store the facts column by column (see `Facts`) and yield them
+    as these tuples. Each distinct pair, converted tuple, payload, verdict
+    and digest is stored once and shared by every agent that executes or
+    delivers it. A record with a missing or wrong-typed field raises
+    ValueError naming the record and the field.
     """
 
     def __init__(self, records: Iterable[dict]):
@@ -117,56 +234,118 @@ class TraceView:
             self.initial_balance: int = config["initial_balance"]
             self.agent_kinds = {a["id"]: a["kind"] for a in config["agents"]}
         except KeyError as exc:
-            raise ValueError(_bad_record(config, exc.args[0])) from None
+            where = f"record {config.get('idx')} (CONFIG)"
+            raise ValueError(f"{where} has no field {exc.args[0]!r}") from None
         self.compliant = sorted(
             i for i, kind in self.agent_kinds.items() if kind == "COMPLIANT"
         )
         self.quiescent = False
-        self.executes: dict[int, list[dict]] = {i: [] for i in self.agent_kinds}
-        self.snapshots: dict[int, list[dict]] = {i: [] for i in self.agent_kinds}
-        # each agent's EXECUTE and SNAPSHOT records, in trace order
-        self.ledger_events: dict[int, list[dict]] = {i: [] for i in self.agent_kinds}
+        self.executes: dict[int, Facts] = {i: Facts(6) for i in self.agent_kinds}
+        self.snapshots: dict[int, Snapshots] = {i: Snapshots(self.n) for i in self.agent_kinds}
+        # per agent, True for each EXECUTE and False for each SNAPSHOT, in trace order
+        self._ledger_order: dict[int, list[bool]] = {i: [] for i in self.agent_kinds}
         # seqs each agent sent INITIALs for on its own channel
         self.own_initials: dict[int, set[int]] = {i: set() for i in self.agent_kinds}
         self.sends: dict[int, int] = dict.fromkeys(self.agent_kinds, 0)
-        self.delivers: list[dict] = []
-        try:
-            for rec in records:
+        self.delivers = Facts(5)
+        n, agent_kinds, sends = self.n, self.agent_kinds, self.sends
+        own_initials, executes, snapshots = self.own_initials, self.executes, self.snapshots
+        ledger_order = self._ledger_order
+        deliver_idxs, deliver_agents, deliver_channels, deliver_seqs, deliver_digests = \
+            self.delivers.columns
+        share = {}.setdefault  # share(v, v) is the first stored value equal to v
+        for rec in records:
+            try:
                 kind = rec["kind"]
-                if kind == "EXECUTE":
-                    self.executes[rec["agent"]].append(rec)
-                    self.ledger_events[rec["agent"]].append(rec)
-                elif kind == "SNAPSHOT":
-                    self.snapshots[rec["agent"]].append(rec)
-                    self.ledger_events[rec["agent"]].append(rec)
-                elif kind == "RRB_DELIVER":
-                    if rec["agent"] not in self.agent_kinds:
-                        raise KeyError(rec["agent"])
-                    self.delivers.append(rec)
-                elif kind == "SEND":
+                if kind == "RECV":
+                    continue
+                if kind == "SEND":
                     agent = rec["agent"]
-                    self.sends[agent] += 1
+                    sends[agent] += 1
                     if rec["mkind"] == "INITIAL" and rec["channel"] == agent:
-                        self.own_initials[agent].add(rec["seq"])
+                        seq = rec["seq"]
+                        if type(seq) is not int:
+                            raise TypeError
+                        own_initials[agent].add(seq)
+                elif kind == "EXECUTE":
+                    agent = rec["agent"]
+                    order = ledger_order[agent]
+                    idx, verdict, credit = rec["idx"], rec["verdict"], rec["dep_credit"]
+                    if type(idx) is not int or type(verdict) is not str or type(credit) is not int:
+                        raise TypeError
+                    txid, converted = _pair(rec["txid"]), _pairs(rec["converted"])
+                    payload = _payload(rec["tx"])
+                    idxs, txids, verdicts, credits, converteds, payloads = executes[agent].columns
+                    idxs.append(idx)
+                    txids.append(share(txid, txid))
+                    verdicts.append(share(verdict, verdict))
+                    credits.append(credit)
+                    converteds.append(share(converted, converted))
+                    payloads.append(share(payload, payload))
+                    order.append(True)
+                elif kind == "SNAPSHOT":
+                    agent = rec["agent"]
+                    order = ledger_order[agent]
+                    tick = rec["tick"]
+                    if type(tick) is not int:
+                        raise TypeError
+                    ticks, balances = snapshots[agent].columns
+                    balances.extend(_balances(rec["B"], n))
+                    ticks.append(tick)
+                    order.append(False)
+                elif kind == "RRB_DELIVER":
+                    agent = rec["agent"]
+                    if agent not in agent_kinds:
+                        raise KeyError(agent)
+                    idx, channel, seq = rec["idx"], rec["channel"], rec["seq"]
+                    digest = rec["digest"]
+                    if type(idx) is not int or type(channel) is not int or type(seq) is not int \
+                            or type(digest) is not str:
+                        raise TypeError
+                    deliver_idxs.append(idx)
+                    deliver_agents.append(agent)
+                    deliver_channels.append(channel)
+                    deliver_seqs.append(seq)
+                    deliver_digests.append(share(digest, digest))
                 elif kind == "END":
                     self.quiescent = bool(rec["quiescent"])
-        except KeyError as exc:
-            raise ValueError(_bad_record(rec, exc.args[0])) from None
-        except TypeError:
-            agent = rec.get("agent")
-            if isinstance(agent, (list, dict)):  # unhashable, so no index took it
-                raise ValueError(
-                    f"record {rec.get('idx')} ({rec.get('kind')}) names agent {agent!r}, "
-                    "not an agent id"
-                ) from None
-            raise
+            except (KeyError, TypeError) as exc:
+                raise ValueError(self._rejection(rec, exc)) from None
 
-    def verdicts(self, agent: int) -> dict[TxId, str]:
-        return {_txid(r["txid"]): r["verdict"] for r in self.executes[agent]}
+    def _rejection(self, rec: dict, exc: Exception) -> str:
+        """Why the fold rejected `rec`: its agent, or its first missing or malformed field."""
+        where = f"record {rec.get('idx')} ({rec.get('kind')})"
+        if "kind" not in rec:
+            return f"{where} has no field 'kind'"
+        for name, what, parse in _FIELDS.get(rec["kind"], ()):
+            if name not in rec:
+                return f"{where} has no field {name!r}"
+            if name == "agent":
+                agent = rec["agent"]
+                if isinstance(agent, (list, dict)):  # unhashable, so no index took it
+                    return f"{where} names agent {agent!r}, not an agent id"
+                if agent not in self.agent_kinds:
+                    return f"{where} names agent {agent!r}, absent from CONFIG"
+            elif parse is not None:
+                try:
+                    parse(rec[name], self.n)
+                except (KeyError, TypeError):
+                    return f"{where} field {name!r} must be {what}, got {reprlib.repr(rec[name])}"
+        return f"{where}: {exc!r}"
 
-    def final_balances(self, agent: int) -> list[int]:
-        snaps = self.snapshots[agent]
-        return snaps[-1]["B"] if snaps else [self.initial_balance] * self.n
+    def ledger_events(self, agent: int) -> Iterator[tuple]:
+        """The agent's EXECUTE (six fields) and SNAPSHOT (two) facts, in trace order."""
+        executes, snapshots = iter(self.executes[agent]), iter(self.snapshots[agent])
+        for is_execute in self._ledger_order[agent]:
+            yield next(executes) if is_execute else next(snapshots)
+
+    def verdicts(self, agent: int) -> dict[tuple[int, int], str]:
+        _, txids, verdicts, _, _, _ = self.executes[agent].columns
+        return dict(zip(txids, verdicts))
+
+    def final_balances(self, agent: int) -> tuple[int, ...]:
+        balances = self.snapshots[agent].columns[1]
+        return tuple(balances[-self.n:]) if balances else (self.initial_balance,) * self.n
 
 
 @dataclass(frozen=True)
@@ -181,9 +360,7 @@ def check_validity(view: TraceView) -> CheckReport:
     if not view.quiescent:
         return CheckReport("validity", UNKNOWN, "run not quiescent")
     for agent in view.compliant:
-        executed = {
-            r["tx"]["seq"] for r in view.executes[agent] if r["tx"]["initiator"] == agent
-        }
+        executed = {tx[3] for _, _, _, _, _, tx in view.executes[agent] if tx[0] == agent}
         for seq in sorted(view.own_initials[agent]):
             if seq not in executed:
                 return CheckReport(
@@ -208,9 +385,7 @@ def check_agreement(view: TraceView) -> CheckReport:
             b = verdicts.get(txid)
             if a != b:
                 return CheckReport(
-                    "agreement",
-                    FAIL,
-                    f"agents {ref_agent}/{agent} diverge on {tuple(txid)}: {a} vs {b}",
+                    "agreement", FAIL, f"agents {ref_agent}/{agent} diverge on {txid}: {a} vs {b}"
                 )
         if view.final_balances(agent) != ref_balances:
             return CheckReport(
@@ -221,21 +396,15 @@ def check_agreement(view: TraceView) -> CheckReport:
 
 def check_integrity(view: TraceView) -> CheckReport:
     """At most one executed transaction per (initiator, seq), with one content."""
-    content: dict[TxId, dict] = {}
+    content: dict[tuple[int, int], tuple] = {}
     for agent in view.compliant:
-        seen: set[TxId] = set()
-        for rec in view.executes[agent]:
-            txid = _txid(rec["txid"])
+        seen: set[tuple[int, int]] = set()
+        for _, txid, _, _, _, tx in view.executes[agent]:
             if txid in seen:
-                return CheckReport(
-                    "integrity", FAIL, f"agent {agent} executed {tuple(txid)} twice"
-                )
+                return CheckReport("integrity", FAIL, f"agent {agent} executed {txid} twice")
             seen.add(txid)
-            known = content.setdefault(txid, rec["tx"])
-            if known != rec["tx"]:
-                return CheckReport(
-                    "integrity", FAIL, f"two payloads executed for {tuple(txid)}"
-                )
+            if content.setdefault(txid, tx) != tx:
+                return CheckReport("integrity", FAIL, f"two payloads executed for {txid}")
     return CheckReport("integrity", PASS)
 
 
@@ -243,15 +412,13 @@ def check_source_order(view: TraceView) -> CheckReport:
     """Every agent executes each initiator's transactions as seq 1, 2, 3, ..."""
     for agent in view.compliant:
         progress: dict[int, int] = {}
-        for rec in view.executes[agent]:
-            initiator = rec["tx"]["initiator"]
+        for _, _, _, _, _, (initiator, _, _, seq, _, _) in view.executes[agent]:
             expected = progress.get(initiator, 0) + 1
-            if rec["tx"]["seq"] != expected:
+            if seq != expected:
                 return CheckReport(
                     "source_order",
                     FAIL,
-                    f"agent {agent} executed ({initiator},{rec['tx']['seq']}) "
-                    f"but expected seq {expected}",
+                    f"agent {agent} executed ({initiator},{seq}) but expected seq {expected}",
                 )
             progress[initiator] = expected
     return CheckReport("source_order", PASS)
@@ -259,13 +426,11 @@ def check_source_order(view: TraceView) -> CheckReport:
 
 def check_no_debt(view: TraceView) -> CheckReport:
     for agent in sorted(view.agent_kinds):
-        for snap in view.snapshots[agent]:
-            low = min(snap["B"])
+        for tick, balances in view.snapshots[agent]:
+            low = min(balances)
             if low < 0:
                 return CheckReport(
-                    "no_debt",
-                    FAIL,
-                    f"agent {agent} snapshot at tick {snap['tick']} holds balance {low}",
+                    "no_debt", FAIL, f"agent {agent} snapshot at tick {tick} holds balance {low}"
                 )
     return CheckReport("no_debt", PASS)
 
@@ -275,74 +440,71 @@ def check_conservation(view: TraceView) -> CheckReport:
 
     At every snapshot: sum(B) + pending committed value + epsilon * live fee
     credits == n * initial_balance. Also re-derives each execution's balance
-    delta and confirms it touched only the initiator's entry.
+    delta, confirms it touched only the initiator's entry, and requires a
+    snapshot after every execution, the last one included.
     """
     eps = view.epsilon
     total0 = view.n * view.initial_balance
     for agent in sorted(view.agent_kinds):
         pending_value = 0
         credit_count = 0
-        prev_b = [view.initial_balance] * view.n
-        pending_exec: dict | None = None
-        for rec in view.ledger_events[agent]:
-            if rec["kind"] == "EXECUTE":
+        prev_b = (view.initial_balance,) * view.n
+        pending_exec: tuple | None = None
+        for event in view.ledger_events(agent):
+            if len(event) == 6:  # an EXECUTE
                 if pending_exec is not None:
                     return CheckReport(
                         "conservation", FAIL, f"agent {agent}: execute without snapshot"
                     )
-                pending_exec = rec
-                committed = rec["verdict"] == "committed"
-                pending_value += (rec["tx"]["value"] if committed else 0) - rec["dep_credit"]
-                credit_count += view.n - len(rec["converted"])
-            else:
-                balances = rec["B"]
-                if pending_exec is None:
-                    if balances != prev_b:
-                        return CheckReport(
-                            "conservation",
-                            FAIL,
-                            f"agent {agent}: balance change without execution",
-                        )
-                else:
-                    tx = pending_exec["tx"]
-                    delta = (
-                        pending_exec["dep_credit"]
-                        + len(pending_exec["converted"]) * eps
-                        - (tx["value"] if pending_exec["verdict"] == "committed" else 0)
-                        - view.n * eps
+                pending_exec = event
+                _, _, verdict, dep_credit, converted, tx = event
+                pending_value += (tx[2] if verdict == "committed" else 0) - dep_credit
+                credit_count += view.n - len(converted)
+                continue
+            tick, balances = event
+            if pending_exec is None:
+                if balances != prev_b:
+                    return CheckReport(
+                        "conservation", FAIL, f"agent {agent}: balance change without execution"
                     )
-                    expected = list(prev_b)
-                    expected[tx["initiator"] - 1] += delta
-                    if balances != expected:
-                        return CheckReport(
-                            "conservation",
-                            FAIL,
-                            f"agent {agent}: executing {tuple(_txid(pending_exec['txid']))} "
-                            f"changed balances beyond the initiator delta",
-                        )
-                    pending_exec = None
-                if sum(balances) + pending_value + eps * credit_count != total0:
+            else:
+                _, txid, verdict, dep_credit, converted, tx = pending_exec
+                delta = (
+                    dep_credit
+                    + len(converted) * eps
+                    - (tx[2] if verdict == "committed" else 0)
+                    - view.n * eps
+                )
+                expected = list(prev_b)
+                expected[tx[0] - 1] += delta
+                if balances != tuple(expected):
                     return CheckReport(
                         "conservation",
                         FAIL,
-                        f"agent {agent}: identity broken at tick {rec['tick']}",
+                        f"agent {agent}: executing {txid} changed balances beyond the "
+                        "initiator delta",
                     )
-                prev_b = balances
+                pending_exec = None
+            if sum(balances) + pending_value + eps * credit_count != total0:
+                return CheckReport(
+                    "conservation", FAIL, f"agent {agent}: identity broken at tick {tick}"
+                )
+            prev_b = balances
+        if pending_exec is not None:  # the agent's last execution
+            return CheckReport("conservation", FAIL, f"agent {agent}: execute without snapshot")
     return CheckReport("conservation", PASS)
 
 
 def check_rrb_uniqueness(view: TraceView) -> CheckReport:
     """Across compliant agents, one delivered digest per (channel, seq)."""
     seen: dict[tuple[int, int], str] = {}
-    for rec in view.delivers:
-        if view.agent_kinds.get(rec["agent"]) != "COMPLIANT":
+    kinds = view.agent_kinds
+    for _, agent, channel, seq, digest in view.delivers:
+        if kinds[agent] != "COMPLIANT":
             continue
-        key = (rec["channel"], rec["seq"])
-        digest = seen.setdefault(key, rec["digest"])
-        if digest != rec["digest"]:
-            return CheckReport(
-                "rrb_uniqueness", FAIL, f"two digests delivered for {key}"
-            )
+        key = (channel, seq)
+        if seen.setdefault(key, digest) != digest:
+            return CheckReport("rrb_uniqueness", FAIL, f"two digests delivered for {key}")
     return CheckReport("rrb_uniqueness", PASS)
 
 
@@ -356,31 +518,29 @@ def check_dependency_closure(view: TraceView) -> CheckReport:
     """
     for agent in view.compliant:
         executes = view.executes[agent]
-        executed = {_txid(r["txid"]) for r in executes}
-        done: set[TxId] = set()
-        for rec in executes:
-            txid = _txid(rec["txid"])
-            required = rec["tx"]["deps"] + rec["tx"]["fees"]
-            if txid.seq > 1:
-                required = required + [(txid.initiator, txid.seq - 1)]
-            for t in map(_txid, required):
+        executed = {txid for _, txid, _, _, _, _ in executes}
+        done: set[tuple[int, int]] = set()
+        for _, txid, _, _, _, tx in executes:
+            initiator, seq = txid
+            required = tx[4] + tx[5]
+            if seq > 1:
+                required += ((initiator, seq - 1),)
+            for t in required:
                 if t not in done:
                     # a transaction listing its own id lands here too: it
                     # can never be in the prefix that precedes it
-                    why = f"with {t} missing" if t not in executed else f"before {tuple(t)}"
+                    why = f"with {TxId(*t)} missing" if t not in executed else f"before {t}"
                     return CheckReport(
-                        "dependency_closure", FAIL, f"agent {agent} executed {tuple(txid)} {why}"
+                        "dependency_closure", FAIL, f"agent {agent} executed {txid} {why}"
                     )
             done.add(txid)
     return CheckReport("dependency_closure", PASS)
 
 
-def _payload_digest(tx: dict) -> str | None:
-    """The RRB_DELIVER digest of an EXECUTE's payload; None if it cannot encode."""
+def _payload_digest(tx: tuple) -> str | None:
+    """The RRB_DELIVER digest of an executed payload; None if it cannot encode."""
     try:
-        raw = canonical_encode(
-            tx["initiator"], tx["recipient"], tx["value"], tx["seq"], tx["deps"], tx["fees"]
-        )
+        raw = canonical_encode(*tx)
     except struct.error:
         return None
     return hashlib.sha256(raw).digest()[:8].hex()
@@ -389,20 +549,19 @@ def _payload_digest(tx: dict) -> str | None:
 def check_delivery_provenance(view: TraceView) -> CheckReport:
     """Each compliant agent executes (i, s) only after its own RRB_DELIVER on
     channel i, seq s, and executes the payload whose digest it delivered."""
-    first: dict[tuple[int, int, int], dict] = {}
-    for rec in view.delivers:
-        first.setdefault((rec["agent"], rec["channel"], rec["seq"]), rec)
-    digests: dict[tuple[int, int], tuple[dict, str | None]] = {}  # one hash per payload
+    first: dict[tuple[int, int, int], tuple] = {}
+    for idx, agent, channel, seq, digest in view.delivers:
+        first.setdefault((agent, channel, seq), (idx, digest))
+    digests: dict[tuple[int, int], tuple] = {}  # one hash per payload
     for agent in view.compliant:
-        for rec in view.executes[agent]:
-            txid = tuple(rec["txid"])
+        for idx, txid, _, _, _, tx in view.executes[agent]:
             known = digests.get(txid)
-            if known is None or known[0] != rec["tx"]:
-                known = digests[txid] = (rec["tx"], _payload_digest(rec["tx"]))
+            if known is None or known[0] != tx:
+                known = digests[txid] = (tx, _payload_digest(tx))
             deliver = first.get((agent, *txid))
-            if deliver is None or deliver["idx"] > rec["idx"]:
+            if deliver is None or deliver[0] > idx:
                 why = "without delivering it first"
-            elif deliver["digest"] != known[1]:
+            elif deliver[1] != known[1]:
                 why = "with a payload it did not deliver"
             else:
                 continue
@@ -440,12 +599,12 @@ def utility_breakdown(view: TraceView, agent: AgentId) -> dict:
     """Fee income, net usable payments and send count, from the agent's own
     executions of its own transactions and its SENDs."""
     fee_income = payments_net = 0
-    for rec in view.executes[agent]:
-        if rec["tx"]["initiator"] == agent:
-            fee_income += len(rec["converted"]) * view.epsilon
-            payments_net += rec["dep_credit"]
-            if rec["verdict"] == "committed":
-                payments_net -= rec["tx"]["value"]
+    for _, _, verdict, dep_credit, converted, tx in view.executes[agent]:
+        if tx[0] == agent:
+            fee_income += len(converted) * view.epsilon
+            payments_net += dep_credit
+            if verdict == "committed":
+                payments_net -= tx[2]
     return {"fee_income": fee_income, "payments_net": payments_net,
             "messages_sent": view.sends[agent]}
 
@@ -460,8 +619,8 @@ def converted_credits(view: TraceView, agent: AgentId) -> set[TxId]:
     """Fee credits the agent turned into balance: the `converted` lists of its
     own executions of its own transactions, which its FEE_CONVERTs repeat."""
     return {
-        _txid(t)
-        for rec in view.executes[agent]
-        if rec["tx"]["initiator"] == agent
-        for t in rec["converted"]
+        TxId(*t)
+        for _, _, _, _, converted, tx in view.executes[agent]
+        if tx[0] == agent
+        for t in converted
     }

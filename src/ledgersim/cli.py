@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .checker import PASS, TraceView, run_all_checks, utility
-from .netsim import ConfigInvalid, ScriptAction, SimConfig, run
+from .netsim import ConfigInvalid, ScriptAction, SimConfig, check_seed, run
 from .strategy import AgentSpec, StrategyKind, make_behavior
 from .trace import read_trace, write_trace
 
@@ -119,7 +119,8 @@ def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
     """The seeds to run, from the first of: the --seeds flag, "seeds",
     "seed_range" (inclusive), "seed", else [0]; `run` takes the first.
 
-    A range stays a `range`, so taking its first seed costs nothing.
+    Every seed must fit in 64 bits. A range stays a `range`, so taking its
+    first seed costs nothing, and checking its two ends checks all of it.
     """
     try:
         if flag:
@@ -139,6 +140,8 @@ def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
         raise ConfigInvalid(f"bad seeds: {exc}") from None
     if not seeds:
         raise ConfigInvalid("no seeds to run")
+    for seed in (seeds[0], seeds[-1]) if isinstance(seeds, range) else seeds:
+        check_seed(seed)
     return seeds
 
 
@@ -205,7 +208,9 @@ def cmd_check(args) -> int:
     try:
         with open(args.trace) as fp:
             reports = run_all_checks(read_trace(fp))
-    # a field of the wrong type or shape fails where a check first reads it
+    # TraceView names a record whose field is missing or of the wrong type; a
+    # CONFIG of the wrong shape, or a value no check can use (an initiator
+    # beyond n), still fails where it is first read
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         print(f"error: unreadable trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG

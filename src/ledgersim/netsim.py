@@ -36,6 +36,12 @@ class ConfigInvalid(Exception):
     pass
 
 
+def check_seed(seed: int) -> None:
+    """A seed keys the delay hash as 8 bytes, so it must fit in 64 bits."""
+    if not 0 <= seed < 2**64:
+        raise ConfigInvalid(f"seed {seed} must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class ScriptAction:
     tick: int
@@ -73,8 +79,7 @@ class SimConfig:
             fail("initial_balance must exceed n*epsilon")
         if self.n * self.initial_balance > WIRE_MAX:  # then every balance fits the wire
             fail(f"n*initial_balance is {self.n * self.initial_balance}, beyond the wire's 2**64-1")
-        if not 0 <= self.seed < 2**64:
-            fail("seed must fit in 64 bits")
+        check_seed(self.seed)
         if self.d_min < 1:
             fail("d_min must be at least 1")
         if self.d_min > self.d_max:

@@ -1,6 +1,8 @@
 import copy
+import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from ledgersim.checker import (
     dependency_closure,
 )
 from ledgersim.cli import build_config
-from ledgersim.trace import tx_fields, txid_field
+from ledgersim.trace import read_trace, tx_fields, txid_field, write_trace
 from ledgersim.transaction import Transaction, TxId
 
 
@@ -330,23 +332,67 @@ def test_provenance_fails_on_a_payload_the_wire_cannot_encode():
     assert report.detail == "agent 4 executed (1, 1) with a payload it did not deliver"
 
 
+def test_conservation_fails_when_an_agent_ends_on_an_execute():
+    records = allgood_records()
+    last = {r["agent"]: k for k, r in enumerate(records) if r["kind"] == "SNAPSHOT"}
+    records = [r for k, r in enumerate(records) if k not in set(last.values())]
+    assert [r.name for r in L.run_all_checks(records) if r.status != "PASS"] == ["conservation"]
+    report = check_conservation(TraceView(records))
+    assert report.detail == "agent 1: execute without snapshot"
+
+
+# -- what the view keeps -------------------------------------------------------------
+
+
+def containers(value):
+    """`value` and every list and dict nested in it."""
+    out = [value]
+    for child in value.values() if isinstance(value, dict) else value:
+        if isinstance(child, (list, dict)):
+            out += containers(child)
+    return out
+
+
+def test_view_holds_no_reference_to_a_record():
+    records = allgood_records()
+    kept = [c for r in records for c in containers(r)]
+    before = [sys.getrefcount(c) for c in kept]
+    view = TraceView(records)
+    assert [sys.getrefcount(c) for c in kept] == before
+    assert view.executes[1] and view.delivers
+
+
+def test_equal_payloads_are_stored_once():
+    # read back, so that equal payloads arrive as distinct objects
+    buf = io.StringIO()
+    write_trace(allgood_records(), buf)
+    buf.seek(0)
+    view = TraceView(read_trace(buf))
+    first_seen, executions = {}, 0
+    for agent in view.agent_kinds:
+        for _, txid, verdict, _, converted, payload in view.executes[agent]:
+            shared = (txid, verdict, converted, payload)
+            first = first_seen.setdefault(txid, shared)
+            assert all(a is b for a, b in zip(first, shared))
+            executions += 1
+    # every agent executed every transaction, and each was stored once
+    assert executions == len(first_seen) * len(view.agent_kinds)
+
+
 # -- the direct-requirement check equals the full-closure check ---------------------
 
 
 def full_closure_status(view):
     """The dependency check by full closure of every execution: the reference."""
     for agent in view.compliant:
+        # an EXECUTE fact is (idx, txid, verdict, dep_credit, converted, payload)
         universe = {
-            TxId(*r["txid"]): Transaction(
-                r["tx"]["initiator"], r["tx"]["recipient"], r["tx"]["value"], r["tx"]["seq"],
-                frozenset(TxId(*t) for t in r["tx"]["deps"]),
-                frozenset(TxId(*t) for t in r["tx"]["fees"]),
-            )
-            for r in view.executes[agent]
+            TxId(*txid): Transaction(*payload)
+            for _, txid, _, _, _, payload in view.executes[agent]
         }
         done = set()
-        for rec in view.executes[agent]:
-            txid = TxId(*rec["txid"])
+        for _, txid, _, _, _, _ in view.executes[agent]:
+            txid = TxId(*txid)
             try:
                 needed = dependency_closure(txid, universe)
             except MissingTx:
@@ -363,8 +409,9 @@ def execute_records(order, n):
         "agents": [{"id": i, "kind": "COMPLIANT"} for i in range(1, n + 1)],
     }
     return [config] + [
-        {"kind": "EXECUTE", "agent": 1, "txid": txid_field(t.id), "tx": tx_fields(t)}
-        for t in order
+        {"kind": "EXECUTE", "idx": k, "agent": 1, "verdict": "committed", "dep_credit": 0,
+         "converted": [], "txid": txid_field(t.id), "tx": tx_fields(t)}
+        for k, t in enumerate(order, 1)
     ]
 
 

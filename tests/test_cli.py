@@ -180,6 +180,21 @@ def set_first(kind, key, value):
     return edit
 
 
+def edit_first_tx(change):
+    """An edit that applies `change` to the payload of the first EXECUTE."""
+
+    def edit(lines):
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["kind"] == "EXECUTE":
+                change(rec["tx"])
+                lines[i] = json.dumps(rec)
+                return
+        raise AssertionError("no EXECUTE record")
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit,phrase",
     [
@@ -193,15 +208,23 @@ def set_first(kind, key, value):
          "record 53 (EXECUTE) names agent [1], not an agent id"),
         (set_first("SEND", "agent", [1]),
          "record 5 (SEND) names agent [1], not an agent id"),
-        (set_first("EXECUTE", "txid", [1]), "list index out of range"),
-        (set_first("EXECUTE", "converted", None), "object of type 'NoneType' has no len()"),
-        (set_first("SNAPSHOT", "B", "abc"), "'<' not supported between instances of 'str'"),
-        (set_first("RRB_DELIVER", "seq", [1]), "unhashable type: 'list'"),
+        (set_first("EXECUTE", "txid", [1]),
+         "record 53 (EXECUTE) field 'txid' must be an [int, int] pair, got [1]"),
+        (set_first("EXECUTE", "converted", None),
+         "record 53 (EXECUTE) field 'converted' must be a list of [int, int] pairs, got None"),
+        (set_first("SNAPSHOT", "B", "abc"),
+         "record 1 (SNAPSHOT) field 'B' must be a list of one integer per agent, got 'abc'"),
+        (set_first("RRB_DELIVER", "seq", [1]),
+         "record 52 (RRB_DELIVER) field 'seq' must be an integer, got [1]"),
+        (edit_first_tx(lambda tx: tx.update(memo=1)), "record 53 (EXECUTE) field 'tx' must be six"),
+        (edit_first_tx(lambda tx: tx.update(deps=[[1, 1, 1]])),
+         "record 53 (EXECUTE) field 'tx' must be six"),
         (set_first("CONFIG", "agents", None), "'NoneType' object is not iterable"),
     ],
     ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty",
          "execute-agent-list", "send-agent-list", "execute-txid-short", "execute-converted-null",
-         "snapshot-balances-str", "deliver-seq-list", "config-agents-null"],
+         "snapshot-balances-str", "deliver-seq-list", "execute-tx-seventh-field",
+         "execute-deps-triple", "config-agents-null"],
 )
 def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
     trace = written_trace(tmp_path, capsys)
@@ -396,6 +419,16 @@ def test_infinite_seed_exits_two_with_a_message(tmp_path, capsys, verb):
     assert "Infinity" in Path(path).read_text()
     assert main([verb, path]) == 2
     assert "seeds[0] must be an integer, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "seeds", ["1,18446744073709551616", "18446744073709551614..18446744073709551616"]
+)
+def test_sweep_names_a_later_seed_beyond_64_bits(capsys, seeds):
+    assert main(["sweep", str(SCENARIOS / "allgood.json"), "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed 18446744073709551616 must fit in 64 bits\n"
+    assert captured.out == ""
 
 
 def test_sweep_aggregates_seeds(tmp_path, capsys):

@@ -145,13 +145,18 @@ def test_batched_execution_snapshots_after_each_execute():
             batch += 1
             largest = max(largest, batch)
     assert largest >= 2
-    view = TraceView(records)
-    events = view.ledger_events[4]  # the opening SNAPSHOT, then EXECUTE/SNAPSHOT pairs
+    # the opening SNAPSHOT, then EXECUTE/SNAPSHOT pairs
+    events = [r for r in kinds_of(records, agent=4) if r["kind"] in ("EXECUTE", "SNAPSHOT")]
     seqs = [0] * 4
     for execute, snap in zip(events[1::2], events[2::2]):
         assert (execute["kind"], snap["kind"]) == ("EXECUTE", "SNAPSHOT")
         seqs[execute["tx"]["initiator"] - 1] += 1
         assert snap["S"] == seqs
+    view = TraceView(records)
+    # the view keeps them in the same order: six-field EXECUTE, two-field SNAPSHOT facts
+    assert [len(fact) for fact in view.ledger_events(4)] == [
+        6 if r["kind"] == "EXECUTE" else 2 for r in events
+    ]
     assert check_conservation(view).status == "PASS"
 
 

@@ -202,7 +202,7 @@ class TraceView:
 
     The first record must be CONFIG. The view keeps no record and no list or
     dict from one: each record it indexes becomes a fact of exactly the
-    fields the checks read, and every other record (RECV, COMMIT, ...) is
+    fields the checks read, and every other record (RECV, RETAL_BLOCK, ...) is
     dropped as soon as it is read, a SEND after moving its agent's count.
 
         EXECUTE      (idx, txid, verdict, dep_credit, converted, payload)
@@ -228,14 +228,22 @@ class TraceView:
             raise ValueError(
                 f"record {config.get('idx')} ({config.get('kind')}) comes first, not CONFIG"
             )
+        where = f"record {config.get('idx')} (CONFIG)"
         try:
-            self.n: int = config["n"]
-            self.epsilon: int = config["epsilon"]
-            self.initial_balance: int = config["initial_balance"]
-            self.agent_kinds = {a["id"]: a["kind"] for a in config["agents"]}
+            numbers = {name: config[name] for name in ("n", "epsilon", "initial_balance")}
+            agents = config["agents"]
+            numbers.update((f"agents[{k}].id", a["id"]) for k, a in enumerate(agents))
+            self.agent_kinds = {a["id"]: a["kind"] for a in agents}
         except KeyError as exc:
-            where = f"record {config.get('idx')} (CONFIG)"
             raise ValueError(f"{where} has no field {exc.args[0]!r}") from None
+        for name, value in numbers.items():
+            if type(value) is not int:
+                raise ValueError(
+                    f"{where} field {name!r} must be an integer, got {reprlib.repr(value)}"
+                )
+        self.n: int = numbers["n"]
+        self.epsilon: int = numbers["epsilon"]
+        self.initial_balance: int = numbers["initial_balance"]
         self.compliant = sorted(
             i for i, kind in self.agent_kinds.items() if kind == "COMPLIANT"
         )
@@ -261,6 +269,8 @@ class TraceView:
                     continue
                 if kind == "SEND":
                     agent = rec["agent"]
+                    if type(agent) is not int:
+                        raise TypeError
                     sends[agent] += 1
                     if rec["mkind"] == "INITIAL" and rec["channel"] == agent:
                         seq = rec["seq"]
@@ -271,7 +281,8 @@ class TraceView:
                     agent = rec["agent"]
                     order = ledger_order[agent]
                     idx, verdict, credit = rec["idx"], rec["verdict"], rec["dep_credit"]
-                    if type(idx) is not int or type(verdict) is not str or type(credit) is not int:
+                    if type(agent) is not int or type(idx) is not int \
+                            or type(verdict) is not str or type(credit) is not int:
                         raise TypeError
                     txid, converted = _pair(rec["txid"]), _pairs(rec["converted"])
                     payload = _payload(rec["tx"])
@@ -287,7 +298,7 @@ class TraceView:
                     agent = rec["agent"]
                     order = ledger_order[agent]
                     tick = rec["tick"]
-                    if type(tick) is not int:
+                    if type(agent) is not int or type(tick) is not int:
                         raise TypeError
                     ticks, balances = snapshots[agent].columns
                     balances.extend(_balances(rec["B"], n))
@@ -295,7 +306,7 @@ class TraceView:
                     order.append(False)
                 elif kind == "RRB_DELIVER":
                     agent = rec["agent"]
-                    if agent not in agent_kinds:
+                    if type(agent) is not int or agent not in agent_kinds:
                         raise KeyError(agent)
                     idx, channel, seq = rec["idx"], rec["channel"], rec["seq"]
                     digest = rec["digest"]
@@ -322,7 +333,7 @@ class TraceView:
                 return f"{where} has no field {name!r}"
             if name == "agent":
                 agent = rec["agent"]
-                if isinstance(agent, (list, dict)):  # unhashable, so no index took it
+                if type(agent) is not int:  # a bool or float would pass for an int key
                     return f"{where} names agent {agent!r}, not an agent id"
                 if agent not in self.agent_kinds:
                     return f"{where} names agent {agent!r}, absent from CONFIG"
@@ -617,7 +628,7 @@ def utility(view: TraceView, agent: AgentId, c) -> Fraction:
 
 def converted_credits(view: TraceView, agent: AgentId) -> set[TxId]:
     """Fee credits the agent turned into balance: the `converted` lists of its
-    own executions of its own transactions, which its FEE_CONVERTs repeat."""
+    own executions of its own transactions."""
     return {
         TxId(*t)
         for _, _, _, _, converted, tx in view.executes[agent]

@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
-from .checker import PASS, TraceView, run_all_checks, utility
+from .checker import ALL_CHECKS, PASS, TraceView, run_all_checks, utility
 from .netsim import ConfigInvalid, ScriptAction, SimConfig, check_seed, run
 from .strategy import AgentSpec, StrategyKind, make_behavior
 from .trace import read_trace, write_trace
@@ -160,9 +160,8 @@ def print_reports(reports) -> None:
         print(line)
 
 
-def print_summary(result, config: SimConfig) -> None:
-    """Final balances, executions and utilities, all read from the trace."""
-    view = TraceView(result.records)
+def print_summary(view: TraceView, result, config: SimConfig) -> None:
+    """Final balances, executions and utilities, all read from the run's view."""
     reference = (view.compliant or sorted(view.agent_kinds))[0]
     balances = view.final_balances(reference)
     print(f"quiescent: {result.quiescent}  steps: {result.steps}")
@@ -191,13 +190,15 @@ def cmd_run(args) -> int:
         if args.trace:
             write_trace(result.records, trace_fp)
     code = EXIT_OK
+    # one fold of the records serves both the checks and the summary
+    view = TraceView(result.records) if args.check or args.summary else None
     if args.check:
-        reports = run_all_checks(result.records)
+        reports = [check(view) for check in ALL_CHECKS]
         print_reports(reports)
         if any(r.status != PASS for r in reports):
             code = EXIT_CHECK_FAILED
     if args.summary:
-        print_summary(result, config)
+        print_summary(view, result, config)
     if not result.quiescent:
         print("warning: run hit max_steps before quiescence", file=sys.stderr)
         return EXIT_NONQUIESCENT

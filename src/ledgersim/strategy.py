@@ -97,34 +97,17 @@ class AgentStack:
             txid=txid_field(tx.id),
             tx=tx_fields(tx),
         )
-        if not report.bad:
-            self.recorder.emit(
-                "COMMIT",
-                agent=self.id,
-                txid=txid_field(tx.id),
-                recipient=tx.recipient,
-                value=tx.value,
-            )
-        self.recorder.emit(
-            "FEE_CREDIT", agent=self.id, txid=txid_field(tx.id), count=self.ledger.n
-        )
-        if report.converted:
-            self.recorder.emit(
-                "FEE_CONVERT",
-                agent=self.id,
-                initiator=tx.initiator,
-                txid=txid_field(tx.id),
-                converted=[txid_field(t) for t in report.converted],
-            )
         self.recorder.emit("SNAPSHOT", **self.ledger.snapshot())
 
 
 def _natural(value) -> int:
-    """A value that fits the wire encoding's unsigned 64-bit fields."""
-    number = int(value)
-    if not 0 <= number <= WIRE_MAX:
+    """An exact integer that fits the wire encoding's unsigned 64-bit fields;
+    a bool, float or string is rejected, not rounded."""
+    if type(value) is not int:
+        raise TypeError("must be an integer")
+    if not 0 <= value <= WIRE_MAX:
         raise ValueError("must be in 0..2**64-1")
-    return number
+    return value
 
 
 def _naturals(value) -> set[int]:
@@ -149,7 +132,7 @@ def _param(params: Mapping, key: str, convert, default=None):
         return default
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}={value!r}: {exc}") from None
 
 

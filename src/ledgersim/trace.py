@@ -8,10 +8,8 @@ keeps. All other kinds are events:
 
     SEND / RECV        network traffic (loopback self-messages are not traced)
     RRB_DELIVER        broadcast layer handed a payload to the ledger
-    EXECUTE            ledger applied a transaction (carries the full payload)
-    COMMIT             value moved into the recipient's payment buffer
-    FEE_CREDIT         fee credits granted to every agent's buffer
-    FEE_CONVERT        credits turned into balance for the initiator
+    EXECUTE            ledger applied a transaction; payload, verdict,
+                       dep_credit and converted state all that it did
     RETAL_BLOCK/UNBLOCK  outgoing gate closed/reopened toward a peer
     SNAPSHOT           full balance/sequence vectors of one agent
     BYZ_EVIDENCE       observed deviation, logged and never acted on

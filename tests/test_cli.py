@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ledgersim.checker import TraceView
 from ledgersim.cli import main
 from ledgersim.netsim import run
 from ledgersim.transaction import Transaction
@@ -54,6 +55,21 @@ def test_run_summary_prints_balances_and_utility(capsys):
     # the overdrafter loses exactly n*epsilon
     assert "2:996" in out
     assert "BYZ_OVERDRAFT" in out
+
+
+def test_run_check_summary_folds_the_records_once(monkeypatch, capsys):
+    builds = []
+    init = TraceView.__init__
+
+    def counted(self, records):
+        builds.append(1)
+        init(self, records)
+
+    monkeypatch.setattr(TraceView, "__init__", counted)
+    assert main(["run", str(SCENARIOS / "allgood.json"), "--check", "--summary"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] conservation" in out and "balances (view of agent 1)" in out
+    assert len(builds) == 1
 
 
 def test_malformed_scenario_names_the_invariant(tmp_path, capsys):
@@ -220,11 +236,30 @@ def edit_first_tx(change):
         (edit_first_tx(lambda tx: tx.update(deps=[[1, 1, 1]])),
          "record 53 (EXECUTE) field 'tx' must be six"),
         (set_first("CONFIG", "agents", None), "'NoneType' object is not iterable"),
+        (set_first("CONFIG", "epsilon", 1.5),
+         "record 0 (CONFIG) field 'epsilon' must be an integer, got 1.5"),
+        (set_first("CONFIG", "initial_balance", "1000"),
+         "record 0 (CONFIG) field 'initial_balance' must be an integer, got '1000'"),
+        (set_first("CONFIG", "n", "4"), "record 0 (CONFIG) field 'n' must be an integer, got '4'"),
+        (set_first("CONFIG", "agents", [{"id": str(i), "kind": "COMPLIANT"} for i in range(1, 5)]),
+         "record 0 (CONFIG) field 'agents[0].id' must be an integer, got '1'"),
+        (set_first("EXECUTE", "agent", True),
+         "record 53 (EXECUTE) names agent True, not an agent id"),
+        (set_first("EXECUTE", "agent", 1.0),
+         "record 53 (EXECUTE) names agent 1.0, not an agent id"),
+        (set_first("SEND", "agent", True), "record 5 (SEND) names agent True, not an agent id"),
+        (set_first("SNAPSHOT", "agent", 1.0),
+         "record 1 (SNAPSHOT) names agent 1.0, not an agent id"),
+        (set_first("RRB_DELIVER", "agent", True),
+         "record 52 (RRB_DELIVER) names agent True, not an agent id"),
     ],
     ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty",
          "execute-agent-list", "send-agent-list", "execute-txid-short", "execute-converted-null",
          "snapshot-balances-str", "deliver-seq-list", "execute-tx-seventh-field",
-         "execute-deps-triple", "config-agents-null"],
+         "execute-deps-triple", "config-agents-null", "config-epsilon-float",
+         "config-initial-balance-str", "config-n-str", "config-agent-id-str",
+         "execute-agent-bool", "execute-agent-float", "send-agent-bool", "snapshot-agent-float",
+         "deliver-agent-bool"],
 )
 def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
     trace = written_trace(tmp_path, capsys)
@@ -247,17 +282,26 @@ def with_agent(kind, params):
     "kind,params,phrase",
     [
         ("RATIONAL_FREERIDER", {"channels": 5}, "channels=5: must be a list of integers"),
-        ("RATIONAL_FREERIDER", {"channels": ["x"]}, "channels=['x']: invalid literal"),
+        ("RATIONAL_FREERIDER", {"channels": ["x"]}, "channels=['x']: must be an integer"),
+        ("RATIONAL_FREERIDER", {"channels": [1.9]}, "channels=[1.9]: must be an integer"),
+        ("RATIONAL_FREERIDER", {"channels": ["1"]}, "channels=['1']: must be an integer"),
+        ("RATIONAL_FREERIDER", {"channels": [True]}, "channels=[True]: must be an integer"),
         ("RATIONAL_FREERIDER", {"channels": [1], "seqs": "1"}, "seqs='1': must be a list"),
-        ("BYZ_EQUIVOCATE", {"alt_to": "two"}, "alt_to='two': invalid literal"),
+        ("RATIONAL_FREERIDER", {"channels": [1], "seqs": [1.5]}, "seqs=[1.5]: must be an integer"),
+        ("BYZ_EQUIVOCATE", {"alt_to": "two"}, "alt_to='two': must be an integer"),
         ("BYZ_EQUIVOCATE", {"alt_amount": -5}, "alt_amount=-5: must be in 0..2**64-1"),
         ("BYZ_EQUIVOCATE", {"alt_targets": 3}, "alt_targets=3: must be a list of integers"),
-        ("BYZ_OVERDRAFT", {"extra": [100]}, "extra=[100]: int() argument"),
+        ("BYZ_OVERDRAFT", {"extra": [100]}, "extra=[100]: must be an integer"),
+        ("BYZ_OVERDRAFT", {"extra": "100"}, "extra='100': must be an integer"),
+        ("BYZ_OVERDRAFT", {"extra": 99.9}, "extra=99.9: must be an integer"),
+        ("BYZ_BAD_DEPS", {"bad_ref": [1, True]}, "bad_ref=[1, True]: must be an integer"),
         ("BYZ_BAD_DEPS", {"bad_ref": [1]}, "bad_ref=[1]: not enough values"),
         ("BYZ_BAD_DEPS", {"bad_ref": 7}, "bad_ref=7: cannot unpack"),
     ],
-    ids=["channels-int", "channels-str-item", "seqs-str", "alt_to-str", "alt_amount-neg",
-         "alt_targets-int", "extra-list", "bad_ref-short", "bad_ref-int"],
+    ids=["channels-int", "channels-str-item", "channels-float-item", "channels-numeric-str-item",
+         "channels-bool-item", "seqs-str", "seqs-float-item", "alt_to-str", "alt_amount-neg",
+         "alt_targets-int", "extra-list", "extra-str", "extra-float", "bad_ref-bool-item",
+         "bad_ref-short", "bad_ref-int"],
 )
 def test_malformed_behavior_param_exits_two(tmp_path, capsys, kind, params, phrase):
     path = write_scenario(tmp_path, minimal_scenario(**with_agent(kind, params)))

@@ -79,7 +79,6 @@ def test_overdrafter_is_punished_by_fee_only():
     executes = kinds_of(records, kind="EXECUTE")
     assert executes and all(r["verdict"] == "bad" for r in executes)
     assert all(r["txid"] == [2, 1] for r in executes)
-    assert not kinds_of(records, kind="COMMIT")
     final = [r for r in kinds_of(records, kind="SNAPSHOT", agent=1)][-1]
     assert final["B"] == [1000, 996, 1000, 1000]  # initiator pays n*epsilon, nothing else moves
 

@@ -15,15 +15,15 @@ from ledgersim.cli import main
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 GOLDEN = {
-    "allgood.json": "6f3c76445544d9ea40eb69100e21502dce372d1d0418939e7d0f4907cc692602",
-    "allgood_n7.json": "ee1ed12677168c38a20842519dbd391ab72f51662bbb7229c9b798e0b435837a",
-    "bad_deps.json": "a05df0dca5f0a5751316e951afdab05157524d89624043f371831e45ada238c3",
-    "equivocate.json": "613158bda639368345dde6a90301ec3a55a542c5882abe2820989ff18b36a65a",
-    "freerider.json": "e6ff6a468f915d44a8f07c2da8821f887f8a7766758b2d71594eece941e687a5",
-    "freerider_utility.json": "8ba79436687d6a43cd5069061bd963e8613f8428c3f59a5b64b43e04d4aecd9b",
-    "lazy_exec.json": "13a1ce7c769cc9f66a9ce99230fc430b5d72d02fcc4e77d57020ef05701b77d7",
-    "overdraft.json": "265e869b2ddfc300447c88734794cf83b0a0c846183a53190567ae228bd6f728",
-    "silent.json": "069efc2816f728569641b76207e58ebb020027333a806c8614010c94a779e82e",
+    "allgood.json": "bdc6207dc84d1cd8ae610f0cdf1fa1be8e4594d611e8e78ad8990357b99ef453",
+    "allgood_n7.json": "ffc03186a6c9453e25ef3203482bef7e464d39aea5ac66d66cd5d7b7f9ba76da",
+    "bad_deps.json": "28e11e4e4f8d91ae112f2a1b40804607ab35bce452a5281178560c65d8aef456",
+    "equivocate.json": "64fd73354c640334cc18214804d095866aa1b01711a2e71030cb2690479d8c99",
+    "freerider.json": "7b9e4a8eaa27d394ff2a6bac73901b9deed8e298f725e4eca411050c61b68062",
+    "freerider_utility.json": "b33bb9adece31f4456f5b1642cc0d241a72120c00bfaf6c6a2458a380ef38c0a",
+    "lazy_exec.json": "98c596bf30794b88ecd82f5e338a4bc55a0b68e2ebdb6d31b7c3160923633586",
+    "overdraft.json": "db5d5a25f50c6cb3899849ce9f10bb6aa843e8a7406db40cee95e6989ea7fc20",
+    "silent.json": "62f2ad1f2a1686708a8db99843a48a756edd56b7be058d6a09027132ace2ed68",
 }
 
 

@@ -3,13 +3,13 @@
 `TraceView` folds one pass over any iterable of records, a list in memory or
 `trace.read_trace` streaming a file. It keeps no record: of each EXECUTE,
 SNAPSHOT and RRB_DELIVER it keeps the fields the oracles read, column by
-column, with each distinct payload stored once, and a field of the wrong type
-is rejected there, naming the record. Every check reads that view and nothing
-else, so a trace written to disk and read back verifies identically, and any
-other implementation emitting the same record format can be validated
-against the same checks. Liveness-flavored checks report UNKNOWN on
-non-quiescent runs instead of failing them. The utility accounting reads the
-same view.
+column, with each distinct payload stored once. Each field's rule sits where
+the fold reads it, and a record that breaks one is rejected there, naming the
+record and the field. Every check reads that view and nothing else, so a
+trace written to disk and read back verifies identically, and any other
+implementation emitting the same record format can be validated against the
+same checks. Liveness-flavored checks report UNKNOWN on non-quiescent runs
+instead of failing them. The utility accounting reads the same view.
 """
 
 from __future__ import annotations
@@ -87,83 +87,47 @@ def chain_height(root: TxId, universe: Mapping[TxId, Transaction]) -> int:
 # -- trace access -------------------------------------------------------------
 
 
+class _BadField(Exception):
+    """A field the fold read breaks its rule: (field, what it must be, value)."""
+
+
 def _pair(raw) -> tuple[int, int]:
-    """A JSON [int, int] as a tuple; anything else raises TypeError."""
+    """An EXECUTE's `txid`, a JSON [int, int], as a tuple."""
     if type(raw) is list and len(raw) == 2:
         a, b = raw
         if type(a) is int and type(b) is int:
             return a, b
-    raise TypeError("not an [int, int] pair")
+    raise _BadField("txid", "an [int, int] pair", raw)
 
 
 def _pairs(raw) -> tuple[tuple[int, int], ...]:
-    if type(raw) is not list:
-        raise TypeError("not a list")
-    return tuple(map(_pair, raw))
+    """An EXECUTE's `converted`, a JSON list of [int, int] pairs, as a tuple."""
+    try:
+        if type(raw) is list:
+            return tuple(map(_pair, raw))
+    except _BadField:  # an entry is no pair
+        pass
+    raise _BadField("converted", "a list of [int, int] pairs", raw)
 
 
-def _payload(tx) -> tuple:
+def _payload(tx, n: int) -> tuple:
     """An EXECUTE's `tx` as (initiator, recipient, value, seq, deps, fees).
 
     It must have exactly these six fields: a seventh would be dropped here,
-    and two payloads that differ in it would compare equal.
+    and two payloads that differ in it would compare equal. Its initiator
+    must be an agent, 1..n, because conservation indexes balances by it.
     """
-    if type(tx) is not dict or len(tx) != 6:
-        raise TypeError("not a six-field payload")
-    initiator, recipient, value, seq = tx["initiator"], tx["recipient"], tx["value"], tx["seq"]
-    if type(initiator) is not int or type(recipient) is not int or type(value) is not int \
-            or type(seq) is not int:
-        raise TypeError("not an integer")
-    return initiator, recipient, value, seq, _pairs(tx["deps"]), _pairs(tx["fees"])
-
-
-def _balances(raw, n: int) -> list[int]:
-    if type(raw) is not list or len(raw) != n or not set(map(type, raw)) <= {int}:
-        raise TypeError("not n integers")
-    return raw
-
-
-def _scalar(kind: type):
-    def parse(value, n):
-        if type(value) is not kind:
-            raise TypeError
-    return parse
-
-
-# per kind, the fields the fold reads, in the order a rejected record is
-# searched for the culprit: (name, what it must be, parse or None)
-_AGENT = ("agent", None, None)
-_FIELDS = {
-    "EXECUTE": (
-        _AGENT,
-        ("idx", "an integer", _scalar(int)),
-        ("txid", "an [int, int] pair", lambda v, n: _pair(v)),
-        ("verdict", "a string", _scalar(str)),
-        ("dep_credit", "an integer", _scalar(int)),
-        ("converted", "a list of [int, int] pairs", lambda v, n: _pairs(v)),
-        ("tx", "six fields: integer initiator, recipient, value and seq, "
-               "and deps and fees as lists of [int, int] pairs", lambda v, n: _payload(v)),
-    ),
-    "SNAPSHOT": (
-        _AGENT,
-        ("tick", "an integer", _scalar(int)),
-        ("B", "a list of one integer per agent", _balances),
-    ),
-    "RRB_DELIVER": (
-        _AGENT,
-        ("idx", "an integer", _scalar(int)),
-        ("channel", "an integer", _scalar(int)),
-        ("seq", "an integer", _scalar(int)),
-        ("digest", "a string", _scalar(str)),
-    ),
-    "SEND": (
-        _AGENT,
-        ("mkind", None, None),
-        ("channel", None, None),
-        ("seq", "an integer", _scalar(int)),
-    ),
-    "END": (("quiescent", None, None),),
-}
+    try:
+        if type(tx) is dict and len(tx) == 6:
+            initiator, recipient, value, seq = (
+                tx["initiator"], tx["recipient"], tx["value"], tx["seq"])
+            if type(initiator) is int and 0 < initiator <= n and type(recipient) is int \
+                    and type(value) is int and type(seq) is int:
+                return initiator, recipient, value, seq, _pairs(tx["deps"]), _pairs(tx["fees"])
+    except (KeyError, _BadField):  # other fields than these six, or deps or fees no pairs
+        pass
+    raise _BadField("tx", "six fields: integer initiator, recipient, value and seq, and deps and "
+                    f"fees as lists of [int, int] pairs, with initiator in 1..{n}", tx)
 
 
 class Facts:
@@ -200,10 +164,11 @@ class Snapshots(Facts):
 class TraceView:
     """Facts from one run's records, folded in one pass; the checks share them.
 
-    The first record must be CONFIG. The view keeps no record and no list or
-    dict from one: each record it indexes becomes a fact of exactly the
-    fields the checks read, and every other record (RECV, RETAL_BLOCK, ...) is
-    dropped as soon as it is read, a SEND after moving its agent's count.
+    The first record must be CONFIG, with one agent object per id 1..n. The
+    view keeps no record and no list or dict from one: each record it indexes
+    becomes a fact of exactly the fields the checks read, and every other
+    record (RECV, RETAL_BLOCK, ...) is dropped as soon as it is read, a SEND
+    after moving its agent's count.
 
         EXECUTE      (idx, txid, verdict, dep_credit, converted, payload)
         SNAPSHOT     (tick, B)
@@ -215,77 +180,88 @@ class TraceView:
     `delivers` store the facts column by column (see `Facts`) and yield them
     as these tuples. Each distinct pair, converted tuple, payload, verdict
     and digest is stored once and shared by every agent that executes or
-    delivers it. A record with a missing or wrong-typed field raises
-    ValueError naming the record and the field.
+    delivers it.
+
+    Each field's rule is tested where the fold reads it, so every value a
+    check indexes by is known good: a missing field, a field of the wrong
+    type or shape, an agent absent from CONFIG or a payload initiator outside
+    1..n raises ValueError naming the record and the field. `kind` and a
+    SEND's `mkind` only choose what the fold does: a kind it does not index is
+    skipped and a SEND that is no INITIAL only counted, whatever the value.
     """
 
     def __init__(self, records: Iterable[dict]):
         records = iter(records)
-        config = next(records, None)
-        if config is None:
+        rec = next(records, None)
+        if rec is None:
             raise ValueError("trace is empty")
-        if config.get("kind") != "CONFIG":
-            raise ValueError(
-                f"record {config.get('idx')} ({config.get('kind')}) comes first, not CONFIG"
-            )
-        where = f"record {config.get('idx')} (CONFIG)"
+        if rec.get("kind") != "CONFIG":
+            raise ValueError(f"record {rec.get('idx')} ({rec.get('kind')}) comes first, not CONFIG")
+        # every rule below raises _BadField, and only a field read raises KeyError
         try:
-            numbers = {name: config[name] for name in ("n", "epsilon", "initial_balance")}
-            agents = config["agents"]
-            numbers.update((f"agents[{k}].id", a["id"]) for k, a in enumerate(agents))
-            self.agent_kinds = {a["id"]: a["kind"] for a in agents}
-        except KeyError as exc:
-            raise ValueError(f"{where} has no field {exc.args[0]!r}") from None
-        for name, value in numbers.items():
-            if type(value) is not int:
-                raise ValueError(
-                    f"{where} field {name!r} must be an integer, got {reprlib.repr(value)}"
-                )
-        self.n: int = numbers["n"]
-        self.epsilon: int = numbers["epsilon"]
-        self.initial_balance: int = numbers["initial_balance"]
-        self.compliant = sorted(
-            i for i, kind in self.agent_kinds.items() if kind == "COMPLIANT"
-        )
-        self.quiescent = False
-        self.executes: dict[int, Facts] = {i: Facts(6) for i in self.agent_kinds}
-        self.snapshots: dict[int, Snapshots] = {i: Snapshots(self.n) for i in self.agent_kinds}
-        # per agent, True for each EXECUTE and False for each SNAPSHOT, in trace order
-        self._ledger_order: dict[int, list[bool]] = {i: [] for i in self.agent_kinds}
-        # seqs each agent sent INITIALs for on its own channel
-        self.own_initials: dict[int, set[int]] = {i: set() for i in self.agent_kinds}
-        self.sends: dict[int, int] = dict.fromkeys(self.agent_kinds, 0)
-        self.delivers = Facts(5)
-        n, agent_kinds, sends = self.n, self.agent_kinds, self.sends
-        own_initials, executes, snapshots = self.own_initials, self.executes, self.snapshots
-        ledger_order = self._ledger_order
-        deliver_idxs, deliver_agents, deliver_channels, deliver_seqs, deliver_digests = \
-            self.delivers.columns
-        share = {}.setdefault  # share(v, v) is the first stored value equal to v
-        for rec in records:
-            try:
+            if type(n := rec["n"]) is not int:
+                raise _BadField("n", "an integer", n)
+            if type(epsilon := rec["epsilon"]) is not int:
+                raise _BadField("epsilon", "an integer", epsilon)
+            if type(initial_balance := rec["initial_balance"]) is not int:
+                raise _BadField("initial_balance", "an integer", initial_balance)
+            self.n, self.epsilon, self.initial_balance = n, epsilon, initial_balance
+            if type(agents := rec["agents"]) is not list or not set(map(type, agents)) <= {dict}:
+                raise _BadField("agents", "a list of objects", agents)
+            self.agent_kinds: dict[int, str] = {}
+            for k, a in enumerate(agents):
+                if type(agent := a["id"]) is not int:
+                    raise _BadField(f"agents[{k}].id", "an integer", agent)
+                if type(kind := a["kind"]) is not str:
+                    raise _BadField(f"agents[{k}].kind", "a string", kind)
+                self.agent_kinds[agent] = kind
+            if len(agents) != n or sorted(self.agent_kinds) != list(range(1, n + 1)):
+                raise _BadField("agents[].id", f"1..{n}, each once", [a["id"] for a in agents])
+            self.compliant = sorted(
+                i for i, kind in self.agent_kinds.items() if kind == "COMPLIANT")
+            self.quiescent = False
+            self.executes: dict[int, Facts] = {i: Facts(6) for i in self.agent_kinds}
+            self.snapshots: dict[int, Snapshots] = {i: Snapshots(n) for i in self.agent_kinds}
+            # per agent, True for each EXECUTE and False for each SNAPSHOT, in trace order
+            self._ledger_order: dict[int, list[bool]] = {i: [] for i in self.agent_kinds}
+            # seqs each agent sent INITIALs for on its own channel
+            self.own_initials: dict[int, set[int]] = {i: set() for i in self.agent_kinds}
+            self.sends: dict[int, int] = dict.fromkeys(self.agent_kinds, 0)
+            self.delivers = Facts(5)
+            agent_kinds, sends, own_initials = self.agent_kinds, self.sends, self.own_initials
+            executes, snapshots, ledger_order = self.executes, self.snapshots, self._ledger_order
+            deliver_idxs, deliver_agents, deliver_channels, deliver_seqs, deliver_digests = \
+                self.delivers.columns
+            share = {}.setdefault  # share(v, v) is the first stored value equal to v
+            for rec in records:
                 kind = rec["kind"]
                 if kind == "RECV":
                     continue
                 if kind == "SEND":
-                    agent = rec["agent"]
-                    if type(agent) is not int:
-                        raise TypeError
-                    sends[agent] += 1
-                    if rec["mkind"] == "INITIAL" and rec["channel"] == agent:
-                        seq = rec["seq"]
-                        if type(seq) is not int:
-                            raise TypeError
-                        own_initials[agent].add(seq)
+                    if type(agent := rec["agent"]) is not int:
+                        raise _BadField("agent", "an agent id", agent)
+                    try:  # the count's own lookup tests that the agent is in CONFIG
+                        sends[agent] += 1
+                    except KeyError:
+                        raise _BadField("agent", "an agent id", agent) from None
+                    if rec["mkind"] == "INITIAL":
+                        if type(channel := rec["channel"]) is not int:
+                            raise _BadField("channel", "an integer", channel)
+                        if channel == agent:
+                            if type(seq := rec["seq"]) is not int:
+                                raise _BadField("seq", "an integer", seq)
+                            own_initials[agent].add(seq)
                 elif kind == "EXECUTE":
-                    agent = rec["agent"]
-                    order = ledger_order[agent]
-                    idx, verdict, credit = rec["idx"], rec["verdict"], rec["dep_credit"]
-                    if type(agent) is not int or type(idx) is not int \
-                            or type(verdict) is not str or type(credit) is not int:
-                        raise TypeError
-                    txid, converted = _pair(rec["txid"]), _pairs(rec["converted"])
-                    payload = _payload(rec["tx"])
+                    if type(agent := rec["agent"]) is not int or agent not in agent_kinds:
+                        raise _BadField("agent", "an agent id", agent)
+                    if type(idx := rec["idx"]) is not int:
+                        raise _BadField("idx", "an integer", idx)
+                    txid = _pair(rec["txid"])
+                    if type(verdict := rec["verdict"]) is not str:
+                        raise _BadField("verdict", "a string", verdict)
+                    if type(credit := rec["dep_credit"]) is not int:
+                        raise _BadField("dep_credit", "an integer", credit)
+                    converted, payload = _pairs(rec["converted"]), _payload(rec["tx"], n)
                     idxs, txids, verdicts, credits, converteds, payloads = executes[agent].columns
                     idxs.append(idx)
                     txids.append(share(txid, txid))
@@ -293,56 +269,50 @@ class TraceView:
                     credits.append(credit)
                     converteds.append(share(converted, converted))
                     payloads.append(share(payload, payload))
-                    order.append(True)
+                    ledger_order[agent].append(True)
                 elif kind == "SNAPSHOT":
-                    agent = rec["agent"]
-                    order = ledger_order[agent]
-                    tick = rec["tick"]
-                    if type(agent) is not int or type(tick) is not int:
-                        raise TypeError
-                    ticks, balances = snapshots[agent].columns
-                    balances.extend(_balances(rec["B"], n))
+                    if type(agent := rec["agent"]) is not int or agent not in agent_kinds:
+                        raise _BadField("agent", "an agent id", agent)
+                    if type(tick := rec["tick"]) is not int:
+                        raise _BadField("tick", "an integer", tick)
+                    if type(balances := rec["B"]) is not list or len(balances) != n \
+                            or not set(map(type, balances)) <= {int}:
+                        raise _BadField("B", "a list of one integer per agent", balances)
+                    ticks, flat = snapshots[agent].columns
+                    flat.extend(balances)
                     ticks.append(tick)
-                    order.append(False)
+                    ledger_order[agent].append(False)
                 elif kind == "RRB_DELIVER":
-                    agent = rec["agent"]
-                    if type(agent) is not int or agent not in agent_kinds:
-                        raise KeyError(agent)
-                    idx, channel, seq = rec["idx"], rec["channel"], rec["seq"]
-                    digest = rec["digest"]
-                    if type(idx) is not int or type(channel) is not int or type(seq) is not int \
-                            or type(digest) is not str:
-                        raise TypeError
+                    if type(agent := rec["agent"]) is not int or agent not in agent_kinds:
+                        raise _BadField("agent", "an agent id", agent)
+                    if type(idx := rec["idx"]) is not int:
+                        raise _BadField("idx", "an integer", idx)
+                    if type(channel := rec["channel"]) is not int:
+                        raise _BadField("channel", "an integer", channel)
+                    if type(seq := rec["seq"]) is not int:
+                        raise _BadField("seq", "an integer", seq)
+                    if type(digest := rec["digest"]) is not str:
+                        raise _BadField("digest", "a string", digest)
                     deliver_idxs.append(idx)
                     deliver_agents.append(agent)
                     deliver_channels.append(channel)
                     deliver_seqs.append(seq)
                     deliver_digests.append(share(digest, digest))
                 elif kind == "END":
-                    self.quiescent = bool(rec["quiescent"])
-            except (KeyError, TypeError) as exc:
-                raise ValueError(self._rejection(rec, exc)) from None
-
-    def _rejection(self, rec: dict, exc: Exception) -> str:
-        """Why the fold rejected `rec`: its agent, or its first missing or malformed field."""
-        where = f"record {rec.get('idx')} ({rec.get('kind')})"
-        if "kind" not in rec:
-            return f"{where} has no field 'kind'"
-        for name, what, parse in _FIELDS.get(rec["kind"], ()):
-            if name not in rec:
-                return f"{where} has no field {name!r}"
-            if name == "agent":
-                agent = rec["agent"]
-                if type(agent) is not int:  # a bool or float would pass for an int key
-                    return f"{where} names agent {agent!r}, not an agent id"
-                if agent not in self.agent_kinds:
-                    return f"{where} names agent {agent!r}, absent from CONFIG"
-            elif parse is not None:
-                try:
-                    parse(rec[name], self.n)
-                except (KeyError, TypeError):
-                    return f"{where} field {name!r} must be {what}, got {reprlib.repr(rec[name])}"
-        return f"{where}: {exc!r}"
+                    if type(quiescent := rec["quiescent"]) is not bool:
+                        raise _BadField("quiescent", "true or false", quiescent)
+                    self.quiescent = quiescent
+        except (KeyError, _BadField) as exc:
+            where = f"record {rec.get('idx')} ({rec.get('kind')})"
+            if type(exc) is KeyError:
+                raise ValueError(f"{where} has no field {exc.args[0]!r}") from None
+            field, what, value = exc.args
+            if field != "agent":
+                raise ValueError(
+                    f"{where} field {field!r} must be {what}, got {reprlib.repr(value)}"
+                ) from None
+            why = "absent from CONFIG" if type(value) is int else "not an agent id"
+            raise ValueError(f"{where} names agent {value!r}, {why}") from None
 
     def ledger_events(self, agent: int) -> Iterator[tuple]:
         """The agent's EXECUTE (six fields) and SNAPSHOT (two) facts, in trace order."""
@@ -602,7 +572,10 @@ def run_all_checks(records: Iterable[dict]) -> list[CheckReport]:
 
 
 def as_fraction(c) -> Fraction:
-    """c exactly: a string as a fraction, a float through its shortest repr."""
+    """c exactly: a string as a fraction, a float through its shortest repr.
+    A bool is no number here, although Fraction(True) is 1."""
+    if isinstance(c, bool):
+        raise TypeError(f"not a number: {c!r}")
     return Fraction(str(c) if isinstance(c, float) else c)
 
 

@@ -37,6 +37,18 @@ SCENARIO_KEYS = frozenset({
     "d_max", "fifo_channels", "condition3_strict", "msg_cost_c", "agents", "script",
     "max_steps",
 })
+AGENT_KEYS = frozenset({"id", "kind", "params"})
+SCRIPT_KEYS = frozenset({"tick", "agent", "action"})
+VERB_KEYS = {"pay": frozenset({"to", "amount", "convert_fees"}), "backfill": frozenset()}
+
+
+def known_keys(raw, allowed, where: str) -> None:
+    """Require a JSON object with no key outside `allowed`."""
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{where} must be an object, got {raw!r}")
+    if not raw.keys() <= allowed:
+        unknown = ", ".join(sorted(set(raw) - allowed))
+        raise ConfigInvalid(f"unknown {where} keys: {unknown}")
 
 
 def flag(raw: dict, key: str) -> bool:
@@ -55,11 +67,13 @@ def integer(value, name: str) -> int:
 
 
 def parse_action(raw: dict, where: str) -> dict:
-    verbs = [k for k in raw if k in ("pay", "backfill")]
-    if len(verbs) != 1:
+    known_keys(raw, VERB_KEYS.keys(), where)
+    if len(raw) != 1:
         raise ConfigInvalid(f"script action must name exactly one verb, got {sorted(raw)}")
-    verb = verbs[0]
-    body = raw[verb] or {}
+    [(verb, body)] = raw.items()
+    if body is None:  # `"backfill": null` says what `{}` says
+        body = {}
+    known_keys(body, VERB_KEYS[verb], f"{where}.{verb}")
     action = {"type": verb}
     if verb == "pay":
         action.update(
@@ -71,29 +85,27 @@ def parse_action(raw: dict, where: str) -> dict:
 
 
 def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
-    unknown = sorted(set(raw) - SCENARIO_KEYS)
-    if unknown:
-        raise ConfigInvalid(f"unknown scenario keys: {', '.join(unknown)}")
+    known_keys(raw, SCENARIO_KEYS, "scenario")
     seed = scenario_seeds(raw, None)[0] if seed_override is None else seed_override
     try:
-        agents = [
-            AgentSpec(integer(a["id"], f"agents[{k}].id"), StrategyKind(a["kind"]),
-                      a.get("params", {}))
-            for k, a in enumerate(raw["agents"])
-        ]
-        for spec in agents:
+        agents = []
+        for k, a in enumerate(raw["agents"]):
+            known_keys(a, AGENT_KEYS, f"agents[{k}]")
+            spec = AgentSpec(integer(a["id"], f"agents[{k}].id"), StrategyKind(a["kind"]),
+                             a.get("params", {}))
             if not isinstance(spec.params, dict):
                 raise ConfigInvalid(f"agent {spec.id}: params must be an object")
             try:
                 make_behavior(spec)
             except ValueError as exc:
                 raise ConfigInvalid(f"agent {spec.id}: bad params: {exc}") from None
-        script = [
-            ScriptAction(integer(s["tick"], f"script[{k}].tick"),
-                         integer(s["agent"], f"script[{k}].agent"),
-                         parse_action(s["action"], f"script[{k}].action"))
-            for k, s in enumerate(raw.get("script", []))
-        ]
+            agents.append(spec)
+        script = []
+        for k, s in enumerate(raw.get("script", [])):
+            known_keys(s, SCRIPT_KEYS, f"script[{k}]")
+            script.append(ScriptAction(integer(s["tick"], f"script[{k}].tick"),
+                                       integer(s["agent"], f"script[{k}].agent"),
+                                       parse_action(s["action"], f"script[{k}].action")))
         config = SimConfig(
             n=integer(raw["n"], "n"),
             t=integer(raw["t"], "t"),
@@ -209,9 +221,9 @@ def cmd_check(args) -> int:
     try:
         with open(args.trace) as fp:
             reports = run_all_checks(read_trace(fp))
-    # TraceView names a record whose field is missing or of the wrong type; a
-    # CONFIG of the wrong shape, or a value no check can use (an initiator
-    # beyond n), still fails where it is first read
+    # TraceView tests every field it reads, and every value a check indexes
+    # by, naming the record; the broad clause is the safety net for a fault
+    # that no rule of the fold foresaw
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         print(f"error: unreadable trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG

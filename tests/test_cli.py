@@ -211,6 +211,12 @@ def edit_first_tx(change):
     return edit
 
 
+INITIATOR_OUTSIDE_N = (
+    "record 53 (EXECUTE) field 'tx' must be six fields: integer initiator, recipient, value "
+    "and seq, and deps and fees as lists of [int, int] pairs, with initiator in 1..4, got"
+)
+
+
 @pytest.mark.parametrize(
     "edit,phrase",
     [
@@ -235,7 +241,8 @@ def edit_first_tx(change):
         (edit_first_tx(lambda tx: tx.update(memo=1)), "record 53 (EXECUTE) field 'tx' must be six"),
         (edit_first_tx(lambda tx: tx.update(deps=[[1, 1, 1]])),
          "record 53 (EXECUTE) field 'tx' must be six"),
-        (set_first("CONFIG", "agents", None), "'NoneType' object is not iterable"),
+        (set_first("CONFIG", "agents", None),
+         "record 0 (CONFIG) field 'agents' must be a list of objects, got None"),
         (set_first("CONFIG", "epsilon", 1.5),
          "record 0 (CONFIG) field 'epsilon' must be an integer, got 1.5"),
         (set_first("CONFIG", "initial_balance", "1000"),
@@ -252,6 +259,16 @@ def edit_first_tx(change):
          "record 1 (SNAPSHOT) names agent 1.0, not an agent id"),
         (set_first("RRB_DELIVER", "agent", True),
          "record 52 (RRB_DELIVER) names agent True, not an agent id"),
+        # a value a check indexes by is tested where the fold reads it
+        (edit_first_tx(lambda tx: tx.update(initiator=99)), INITIATOR_OUTSIDE_N),
+        (edit_first_tx(lambda tx: tx.update(initiator=0)), INITIATOR_OUTSIDE_N),
+        (edit_first_tx(lambda tx: tx.update(initiator=-1)), INITIATOR_OUTSIDE_N),
+        (set_first("CONFIG", "agents", [{"id": i, "kind": "COMPLIANT"} for i in (1, 2, 3, 5)]),
+         "record 0 (CONFIG) field 'agents[].id' must be 1..4, each once, got [1, 2, 3, 5]"),
+        (set_first("CONFIG", "agents", [{"id": i, "kind": "COMPLIANT"} for i in (1, 2, 3, 3)]),
+         "record 0 (CONFIG) field 'agents[].id' must be 1..4, each once, got [1, 2, 3, 3]"),
+        (set_first("CONFIG", "agents", [1, 2]),
+         "record 0 (CONFIG) field 'agents' must be a list of objects, got [1, 2]"),
     ],
     ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty",
          "execute-agent-list", "send-agent-list", "execute-txid-short", "execute-converted-null",
@@ -259,7 +276,9 @@ def edit_first_tx(change):
          "execute-deps-triple", "config-agents-null", "config-epsilon-float",
          "config-initial-balance-str", "config-n-str", "config-agent-id-str",
          "execute-agent-bool", "execute-agent-float", "send-agent-bool", "snapshot-agent-float",
-         "deliver-agent-bool"],
+         "deliver-agent-bool", "execute-initiator-beyond-n", "execute-initiator-zero",
+         "execute-initiator-negative", "config-agent-ids-gap", "config-agent-ids-duplicate",
+         "config-agents-ints"],
 )
 def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
     trace = written_trace(tmp_path, capsys)
@@ -269,6 +288,97 @@ def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, 
     assert main(["check", str(trace)]) == 2
     captured = capsys.readouterr()
     assert f"error: unreadable trace: {phrase}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def allgood_lines(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("allgood") / "run.jsonl"
+    assert main(["run", str(SCENARIOS / "allgood.json"), "--trace", str(trace)]) == 0
+    return trace.read_text().splitlines()
+
+
+def read_field(kind, path, wrong):
+    """A case for a top-level field: deleting it names it, and so does a wrong value."""
+    if path == ("agent",):
+        said = f"names agent {wrong!r}, not an agent id"
+    else:
+        said = f"field {path[0]!r} must be"
+    return kind, path, wrong, f"has no field {path[-1]!r}", said
+
+
+TX_MALFORMED = "field 'tx' must be six fields"
+DELETE = object()
+
+# Every field TraceView reads, on the first record of its kind in the
+# allgood trace (the first SEND is agent 1's INITIAL on its own channel, so
+# the fold reads its channel and seq too): (kind, path to the field, a value
+# of the wrong type, what deleting it says, what the wrong value says).
+# `kind` and a SEND's `mkind` have no wrong type, since they only choose
+# what the fold does; deleting them is tested.
+FOLD_FIELDS = [
+    read_field("CONFIG", ("n",), "4"),
+    read_field("CONFIG", ("epsilon",), 1.5),
+    read_field("CONFIG", ("initial_balance",), None),
+    read_field("CONFIG", ("agents",), {"id": 1}),
+    ("CONFIG", ("agents", 0, "id"), "1", "has no field 'id'", "field 'agents[0].id' must be"),
+    ("CONFIG", ("agents", 0, "kind"), 1, "has no field 'kind'", "field 'agents[0].kind' must be"),
+    read_field("SEND", ("agent",), "1"),
+    ("SEND", ("mkind",), None, "has no field 'mkind'", None),
+    read_field("SEND", ("channel",), "1"),
+    read_field("SEND", ("seq",), 1.0),
+    ("SEND", ("kind",), None, "has no field 'kind'", None),
+    read_field("EXECUTE", ("agent",), "4"),
+    read_field("EXECUTE", ("idx",), "53"),
+    read_field("EXECUTE", ("txid",), [1, "1"]),
+    read_field("EXECUTE", ("verdict",), 1),
+    read_field("EXECUTE", ("dep_credit",), 0.5),
+    read_field("EXECUTE", ("converted",), [[1]]),
+    read_field("EXECUTE", ("tx",), [1]),
+    *[("EXECUTE", ("tx", key), wrong, TX_MALFORMED, TX_MALFORMED)
+      for key, wrong in [("initiator", "1"), ("recipient", None), ("value", 25.0),
+                         ("seq", True), ("deps", {}), ("fees", [[1, 1.0]])]],
+    read_field("SNAPSHOT", ("agent",), None),
+    read_field("SNAPSHOT", ("tick",), "0"),
+    read_field("SNAPSHOT", ("B",), [1000, 1000, 1000]),
+    read_field("RRB_DELIVER", ("agent",), "4"),
+    read_field("RRB_DELIVER", ("idx",), None),
+    read_field("RRB_DELIVER", ("channel",), "1"),
+    read_field("RRB_DELIVER", ("seq",), 1.5),
+    read_field("RRB_DELIVER", ("digest",), 7),
+    read_field("END", ("quiescent",), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,path,wrong,said",
+    [pytest.param(kind, path, wrong if how == "wrong-type" else DELETE, said,
+                  id=f"{kind}-{'.'.join(map(str, path))}-{how}")
+     for kind, path, wrong, on_delete, on_wrong in FOLD_FIELDS
+     for how, said in [("deleted", on_delete), ("wrong-type", on_wrong)] if said is not None],
+)
+def test_check_names_the_record_and_field_the_fold_rejects(
+    tmp_path, capsys, allgood_lines, kind, path, wrong, said
+):
+    lines = list(allgood_lines)
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    rec = json.loads(lines[i])
+    *outer, last = path
+    holder = rec
+    for key in outer:
+        holder = holder[key]
+    if wrong is DELETE:
+        del holder[last]
+    else:
+        holder[last] = wrong
+    lines[i] = json.dumps(rec)
+    trace = tmp_path / "run.jsonl"
+    trace.write_text("".join(line + "\n" for line in lines))
+    assert main(["check", str(trace)]) == 2
+    captured = capsys.readouterr()
+    # a record without its idx or kind is named by what it still has
+    record = f"record {rec.get('idx')} ({rec.get('kind')})"
+    assert captured.err.startswith(f"error: unreadable trace: {record} {said}"), captured.err
     assert captured.out == ""
 
 
@@ -352,6 +462,16 @@ def pay_to(to, amount=5):
     return [{"tick": 0, "agent": 1, "action": {"pay": {"to": to, "amount": amount}}}]
 
 
+def act(action):
+    return [{"tick": 0, "agent": 4, "action": action}]
+
+
+def freerider_with_params_as(key):
+    body = json.loads((SCENARIOS / "freerider.json").read_text())
+    body["agents"][3][key] = body["agents"][3].pop("params")
+    return body
+
+
 @pytest.mark.parametrize(
     "body,phrase",
     [
@@ -401,6 +521,22 @@ def pay_to(to, amount=5):
         (allgood(initial_balance=2**65,
                  agents=[{"id": 1, "kind": "BYZ_OVERDRAFT"}] + allgood()["agents"][1:]),
          f"n*initial_balance is {4 * 2**65}, beyond the wire's 2**64-1"),
+        # a misspelt key in an object below the top level is no default
+        (freerider_with_params_as("param"), "unknown agents[3] keys: param"),
+        (minimal_scenario(agents=[1, 2, 3, 4]), "agents[0] must be an object, got 1"),
+        (minimal_scenario(script=[dict(pay_to(2)[0], note="x")]), "unknown script[0] keys: note"),
+        (minimal_scenario(script=[5]), "script[0] must be an object, got 5"),
+        (minimal_scenario(script=act({"pay": {"to": 2, "amount": 5}, "memo": 1})),
+         "unknown script[0].action keys: memo"),
+        (minimal_scenario(script=act({"pay": {"to": 2, "amount": 5, "convertfees": True}})),
+         "unknown script[0].action.pay keys: convertfees"),
+        (minimal_scenario(script=act({"pay": 5})), "script[0].action.pay must be an object, got 5"),
+        (minimal_scenario(script=act({"backfill": 5})),
+         "script[0].action.backfill must be an object, got 5"),
+        (minimal_scenario(script=act({"backfill": {"all": True}})),
+         "unknown script[0].action.backfill keys: all"),
+        (minimal_scenario(msg_cost_c=True),
+         "msg_cost_c must be a number or a fraction string, got True"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
@@ -408,7 +544,10 @@ def pay_to(to, amount=5):
          "n-str", "t-bool", "epsilon-float", "initial_balance-float", "d_min-float",
          "d_max-float", "max_steps-float", "seed-str", "seeds-float-item", "seed_range-float",
          "agent-id-str", "tick-float", "script-agent-bool", "to-str", "amount-float",
-         "number", "null", "array", "string", "money-supply-over-64-bits"],
+         "number", "null", "array", "string", "money-supply-over-64-bits",
+         "agent-unknown-key", "agent-not-object", "script-unknown-key", "script-item-not-object",
+         "action-unknown-key", "pay-unknown-key", "pay-not-object", "backfill-int",
+         "backfill-unknown-key", "msg-cost-bool"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
     path = write_scenario(tmp_path, body)
@@ -416,6 +555,14 @@ def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phr
     assert phrase in capsys.readouterr().err
     assert main(["sweep", path]) == 2
     assert phrase in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [{}, None], ids=["object", "null"])
+def test_backfill_says_nothing_as_an_empty_object_or_null(tmp_path, capsys, body):
+    scenario = json.loads((SCENARIOS / "freerider.json").read_text())
+    scenario["script"][3]["action"]["backfill"] = body
+    assert main(["run", write_scenario(tmp_path, scenario), "--check"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_run_check_and_a_serial_sweep_never_load_multiprocessing(tmp_path):

@@ -15,11 +15,11 @@ wins. So a peer adds at most one vote of each kind per seq, for one digest.
 
 A receipt costs only what it changed. An ECHO or READY at the sender's
 last + 1 is counted at once and drains what queued behind it; only an
-arrival past a gap waits in an in-queue. Only the (seq, digest) keys so
-consumed are re-evaluated, and only the sender is re-gated, unless the
-receipt enqueued a new wave, and only when something is held back from it.
-Every quorum condition is monotone in the vote counts and every other queue
-and key was settled when it last changed, so this equals draining,
+arrival past a gap waits in an in-queue. Each (seq, digest) key so consumed
+is judged as its vote is counted, and only the sender is re-gated, unless
+the receipt enqueued a new wave, and only when something is held back from
+it. Every quorum condition is monotone in the vote counts and every other
+queue and key was settled when it last changed, so this equals draining,
 rescanning and gating everything. Per-peer state lives only while it holds
 something: an in-queue while a vote waits behind a gap, an out-queue while
 the gate withholds an entry, a `_blocked_at` entry while the peer is blocked.
@@ -163,7 +163,6 @@ class ChannelState:
     def on_receive(self, frm: AgentId, msg: BroadcastMessage) -> ReceiveOutcome:
         if msg.channel != self.owner:
             raise WrongChannel(f"message for channel {msg.channel} on {self.owner}")
-        delivered: list[tuple[int, Transaction]] = []
         if msg.kind is MessageKind.INITIAL:
             if frm != self.owner:
                 self._evidence("initial-from-non-owner", frm, msg.seq)
@@ -173,8 +172,9 @@ class ChannelState:
                 self._evidence("conflicting-initial", frm, msg.seq)
             if msg.seq not in self.echo_sent:
                 self._enqueue_wave(MessageKind.ECHO, msg.seq, msg.payload)
+            delivered = []
         else:
-            delivered = self._evaluate_quorums(self.flush_in_queues(frm, msg))
+            delivered = self.flush_in_queues(frm, msg)
         # a new wave reaches every peer; else only what frm's gate holds back may pass
         peers = self.thresholds.peers if self._fresh else (frm,) if frm in self.out_queues else ()
         return ReceiveOutcome(self.flush_out_queue(peers) if peers else [], delivered)
@@ -189,8 +189,11 @@ class ChannelState:
         An arrival at last + 1 is counted at once, then drains what queued
         behind it; one past a gap is queued (first arrival per seq wins); one
         at or below last is a duplicate and dropped. The other kind's queue
-        was drained to its gap when that kind last arrived. Returns the
-        consumed (seq, payload) pairs, ascending: the keys whose counts grew.
+        was drained to its gap when that kind last arrived. Each consumed
+        vote's (seq, digest) key is judged right after it is counted: the echo
+        or ready quorum enqueues the seq's unsent waves, ECHO before READY, and
+        the deliver quorum (2t+1 readies, so also the ready one, t+1) delivers.
+        Returns the new deliveries as (seq, payload) pairs, ascending.
         """
         if msg.kind is MessageKind.ECHO:
             queues, last, tally = self.in_echo_queues, self.last_echo, self.echo_tally
@@ -201,19 +204,24 @@ class ChannelState:
             if seq > last[peer]:
                 queues.setdefault(peer, {}).setdefault(seq, msg.payload)
             return []
-        queue = queues.get(peer)
-        consumed = []
-        payload = msg.payload
+        th, queue, payload, delivered = self.thresholds, queues.get(peer), msg.payload, []
         while payload is not None:
             key = (seq, payload.digest)
             tally[key] = tally.get(key, 0) + 1
-            consumed.append((seq, payload))
+            readies = self.ready_tally.get(key, 0)
+            if readies >= th.ready_init or self.echo_tally.get(key, 0) >= th.echo_quorum:
+                if seq not in self.echo_sent:
+                    self._enqueue_wave(MessageKind.ECHO, seq, payload)
+                if seq not in self.ready_sent:
+                    self._enqueue_wave(MessageKind.READY, seq, payload)
+                if readies >= th.deliver_quorum and self.deliver(payload, seq) is not None:
+                    delivered.append((seq, payload))
             seq += 1
             payload = queue.pop(seq, None) if queue else None
         if queue is not None and not queue:
             del queues[peer]
         last[peer] = seq - 1
-        return consumed
+        return delivered
 
     def flush_out_queue(
         self, peers: tuple[AgentId, ...]
@@ -256,25 +264,7 @@ class ChannelState:
                 del queues[peer]
         return released
 
-    # -- quorums and delivery -------------------------------------------------
-
-    def _evaluate_quorums(self, consumed: list) -> list[tuple[int, Transaction]]:
-        th = self.thresholds
-        delivered: list[tuple[int, Transaction]] = []
-        for seq, payload in consumed:
-            key = (seq, payload.digest)
-            echoes = self.echo_tally.get(key, 0)
-            readies = self.ready_tally.get(key, 0)
-            if echoes >= th.echo_quorum or readies >= th.ready_init:
-                if seq not in self.echo_sent:
-                    self._enqueue_wave(MessageKind.ECHO, seq, payload)
-                if seq not in self.ready_sent:
-                    self._enqueue_wave(MessageKind.READY, seq, payload)
-            if readies >= th.deliver_quorum:
-                out = self.deliver(payload, seq)
-                if out is not None:
-                    delivered.append((seq, out))
-        return delivered
+    # -- delivery -------------------------------------------------------------
 
     def deliver(self, payload: Transaction, seq: int) -> Transaction | None:
         """Record the first delivery for seq; repeat quorum events yield nothing."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .strategy import StrategyKind
 from .transaction import AgentId, Transaction, TxId, canonical_encode
 
 PASS = "PASS"
@@ -85,6 +86,10 @@ def chain_height(root: TxId, universe: Mapping[TxId, Transaction]) -> int:
 
 
 # -- trace access -------------------------------------------------------------
+
+
+# a kind no strategy has would exempt its agent from the compliant-only checks
+_STRATEGY_KINDS = frozenset(StrategyKind)  # str-valued, so a JSON string finds its member
 
 
 class _BadField(Exception):
@@ -184,8 +189,9 @@ class TraceView:
 
     Each field's rule is tested where the fold reads it, so every value a
     check indexes by is known good: a missing field, a field of the wrong
-    type or shape, an agent absent from CONFIG or a payload initiator outside
-    1..n raises ValueError naming the record and the field. `kind` and a
+    type or shape, an agent absent from CONFIG, an agent kind that names no
+    `StrategyKind` or a payload initiator outside 1..n raises ValueError
+    naming the record, by its place in the stream, and the field. `kind` and a
     SEND's `mkind` only choose what the fold does: a kind it does not index is
     skipped and a SEND that is no INITIAL only counted, whatever the value.
     """
@@ -198,6 +204,7 @@ class TraceView:
         if rec.get("kind") != "CONFIG":
             raise ValueError(f"record {rec.get('idx')} ({rec.get('kind')}) comes first, not CONFIG")
         # every rule below raises _BadField, and only a field read raises KeyError
+        pos = 0  # the record's place in the stream, which is its idx in a well-formed trace
         try:
             if type(n := rec["n"]) is not int:
                 raise _BadField("n", "an integer", n)
@@ -212,8 +219,8 @@ class TraceView:
             for k, a in enumerate(agents):
                 if type(agent := a["id"]) is not int:
                     raise _BadField(f"agents[{k}].id", "an integer", agent)
-                if type(kind := a["kind"]) is not str:
-                    raise _BadField(f"agents[{k}].kind", "a string", kind)
+                if type(kind := a["kind"]) is not str or kind not in _STRATEGY_KINDS:
+                    raise _BadField(f"agents[{k}].kind", "one of " + ", ".join(StrategyKind), kind)
                 self.agent_kinds[agent] = kind
             if len(agents) != n or sorted(self.agent_kinds) != list(range(1, n + 1)):
                 raise _BadField("agents[].id", f"1..{n}, each once", [a["id"] for a in agents])
@@ -233,7 +240,7 @@ class TraceView:
             deliver_idxs, deliver_agents, deliver_channels, deliver_seqs, deliver_digests = \
                 self.delivers.columns
             share = {}.setdefault  # share(v, v) is the first stored value equal to v
-            for rec in records:
+            for pos, rec in enumerate(records, 1):
                 kind = rec["kind"]
                 if kind == "RECV":
                     continue
@@ -303,7 +310,7 @@ class TraceView:
                         raise _BadField("quiescent", "true or false", quiescent)
                     self.quiescent = quiescent
         except (KeyError, _BadField) as exc:
-            where = f"record {rec.get('idx')} ({rec.get('kind')})"
+            where = f"record {pos} ({rec.get('kind')})"
             if type(exc) is KeyError:
                 raise ValueError(f"{where} has no field {exc.args[0]!r}") from None
             field, what, value = exc.args

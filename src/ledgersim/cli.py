@@ -66,6 +66,14 @@ def integer(value, name: str) -> int:
     return value
 
 
+def required(raw: dict, path: str):
+    """The value of the key that ends `path`, e.g. `script[0].action.pay.amount`."""
+    key = path.rpartition(".")[2]
+    if key not in raw:
+        raise ConfigInvalid(f"{path} is required")
+    return raw[key]
+
+
 def parse_action(raw: dict, where: str) -> dict:
     known_keys(raw, VERB_KEYS.keys(), where)
     if len(raw) != 1:
@@ -77,8 +85,8 @@ def parse_action(raw: dict, where: str) -> dict:
     action = {"type": verb}
     if verb == "pay":
         action.update(
-            to=integer(body["to"], f"{where}.pay.to"),
-            amount=integer(body["amount"], f"{where}.pay.amount"),
+            to=integer(required(body, f"{where}.pay.to"), f"{where}.pay.to"),
+            amount=integer(required(body, f"{where}.pay.amount"), f"{where}.pay.amount"),
             convert_fees=flag(body, "convert_fees"),
         )
     return action
@@ -89,10 +97,11 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
     seed = scenario_seeds(raw, None)[0] if seed_override is None else seed_override
     try:
         agents = []
-        for k, a in enumerate(raw["agents"]):
-            known_keys(a, AGENT_KEYS, f"agents[{k}]")
-            spec = AgentSpec(integer(a["id"], f"agents[{k}].id"), StrategyKind(a["kind"]),
-                             a.get("params", {}))
+        for k, a in enumerate(required(raw, "agents")):
+            where = f"agents[{k}]"
+            known_keys(a, AGENT_KEYS, where)
+            spec = AgentSpec(integer(required(a, f"{where}.id"), f"{where}.id"),
+                             StrategyKind(required(a, f"{where}.kind")), a.get("params", {}))
             if not isinstance(spec.params, dict):
                 raise ConfigInvalid(f"agent {spec.id}: params must be an object")
             try:
@@ -102,13 +111,15 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
             agents.append(spec)
         script = []
         for k, s in enumerate(raw.get("script", [])):
-            known_keys(s, SCRIPT_KEYS, f"script[{k}]")
-            script.append(ScriptAction(integer(s["tick"], f"script[{k}].tick"),
-                                       integer(s["agent"], f"script[{k}].agent"),
-                                       parse_action(s["action"], f"script[{k}].action")))
+            where = f"script[{k}]"
+            known_keys(s, SCRIPT_KEYS, where)
+            action = f"{where}.action"
+            script.append(ScriptAction(integer(required(s, f"{where}.tick"), f"{where}.tick"),
+                                       integer(required(s, f"{where}.agent"), f"{where}.agent"),
+                                       parse_action(required(s, action), action)))
         config = SimConfig(
-            n=integer(raw["n"], "n"),
-            t=integer(raw["t"], "t"),
+            n=integer(required(raw, "n"), "n"),
+            t=integer(required(raw, "t"), "t"),
             epsilon=integer(raw.get("epsilon", 1), "epsilon"),
             initial_balance=integer(raw.get("initial_balance", 1000), "initial_balance"),
             seed=seed,

@@ -75,7 +75,7 @@ class LedgerState:
         """Mint the next outgoing transaction; the caller broadcasts it.
 
         The referenced payment/fee buffers are consumed when the transaction
-        executes (the membership guards in execute), not here: consuming them
+        executes (the intersections in execute), not here: consuming them
         at mint time would skip the credits on this agent's own execution and
         leave its balance view below every peer's.
         """
@@ -125,7 +125,7 @@ class LedgerState:
         """
         if self.B[initiator] > self.n * self.epsilon:
             return True
-        live = sum(1 for t in fees if t in self.F[initiator])
+        live = len(self.F[initiator].intersection(fees))
         return live >= (self.n + 1 if self.condition3_strict else self.n)
 
     def execute(self, tx: Transaction) -> ExecutionReport:
@@ -134,21 +134,14 @@ class LedgerState:
         if not self.conditions_met(tx):
             raise ConditionsNotMet(tx.id)
         init = tx.initiator
-        dep_credit = 0
-        for t in sorted(tx.deps):
-            if t in self.Q[init]:
-                dep_credit += self.executed[t].tx.value
-                self.Q[init].discard(t)
-        self.B[init] += dep_credit
-        converted = []
-        for t in sorted(tx.fees):
-            if t in self.F[init]:
-                converted.append(t)
-                self.F[init].discard(t)
-        self.B[init] += len(converted) * self.epsilon
-        bad = self.B[init] < tx.value + self.n * self.epsilon or any(
-            self.executed[t].bad for t in tx.deps
-        )
+        credited = tx.deps & self.Q[init]  # payments to init that no execution credited yet
+        self.Q[init] -= credited
+        dep_credit = sum(self.executed[t].tx.value for t in credited)
+        converted = tuple(sorted(tx.fees & self.F[init]))  # live fee credits, ascending
+        self.F[init].difference_update(converted)
+        self.B[init] += dep_credit + len(converted) * self.epsilon
+        bad = (self.B[init] < tx.value + self.n * self.epsilon
+               or any(self.executed[t].bad for t in tx.deps))
         if not bad:
             self.commit(tx)
         self.B[init] -= self.n * self.epsilon  # fee charged either way
@@ -156,7 +149,7 @@ class LedgerState:
             credits.add(tx.id)
         self.S[init] += 1
         self.exec_buffer.pop(tx.id, None)
-        report = ExecutionReport(tx, bad, dep_credit, tuple(converted))
+        report = ExecutionReport(tx, bad, dep_credit, converted)
         self.executed[tx.id] = report
         return report
 
@@ -186,11 +179,11 @@ class LedgerState:
     # -- reporting ----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        ids = sorted(self.B)
+        # every map was filled in agent order, 1..n, and never loses or gains a key
         return {
             "agent": self.self_id,
-            "B": [self.B[i] for i in ids],
-            "S": [self.S[i] for i in ids],
-            "f_counts": [len(self.F[i]) for i in ids],
-            "q_counts": [len(self.Q[i]) for i in ids],
+            "B": list(self.B.values()),
+            "S": list(self.S.values()),
+            "f_counts": list(map(len, self.F.values())),
+            "q_counts": list(map(len, self.Q.values())),
         }

@@ -59,7 +59,6 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.records: list[dict] = []
         self.tick = 0
-        self._idx = 0
 
     def emit(self, kind: str, **fields) -> dict:
         """Record `fields` plus tick, idx and kind; the record is the `fields` dict.
@@ -68,9 +67,8 @@ class TraceRecorder:
         traces sort keys, so that order never reaches a file.
         """
         fields["tick"] = self.tick
-        fields["idx"] = self._idx
+        fields["idx"] = len(self.records)
         fields["kind"] = kind
-        self._idx += 1
         self.records.append(fields)
         return fields
 

@@ -269,6 +269,10 @@ INITIATOR_OUTSIDE_N = (
          "record 0 (CONFIG) field 'agents[].id' must be 1..4, each once, got [1, 2, 3, 3]"),
         (set_first("CONFIG", "agents", [1, 2]),
          "record 0 (CONFIG) field 'agents' must be a list of objects, got [1, 2]"),
+        # a kind no strategy has would exempt its agent from the compliant-only checks
+        (set_first("CONFIG", "agents", [{"id": i, "kind": "COMPLAINT" if i == 2 else "COMPLIANT"}
+                                        for i in range(1, 5)]),
+         "record 0 (CONFIG) field 'agents[1].kind' must be one of COMPLIANT, BYZ_SILENT,"),
     ],
     ids=["number-line", "array-line", "two-objects", "truncated", "no-leading-config", "empty",
          "execute-agent-list", "send-agent-list", "execute-txid-short", "execute-converted-null",
@@ -278,7 +282,7 @@ INITIATOR_OUTSIDE_N = (
          "execute-agent-bool", "execute-agent-float", "send-agent-bool", "snapshot-agent-float",
          "deliver-agent-bool", "execute-initiator-beyond-n", "execute-initiator-zero",
          "execute-initiator-negative", "config-agent-ids-gap", "config-agent-ids-duplicate",
-         "config-agents-ints"],
+         "config-agents-ints", "config-agent-kind-typo"],
 )
 def test_check_malformed_trace_exits_two_with_a_message(tmp_path, capsys, edit, phrase):
     trace = written_trace(tmp_path, capsys)
@@ -376,8 +380,8 @@ def test_check_names_the_record_and_field_the_fold_rejects(
     trace.write_text("".join(line + "\n" for line in lines))
     assert main(["check", str(trace)]) == 2
     captured = capsys.readouterr()
-    # a record without its idx or kind is named by what it still has
-    record = f"record {rec.get('idx')} ({rec.get('kind')})"
+    # a record is named by its place in the stream, even without its idx or kind
+    record = f"record {i} ({rec.get('kind')})"
     assert captured.err.startswith(f"error: unreadable trace: {record} {said}"), captured.err
     assert captured.out == ""
 
@@ -472,6 +476,17 @@ def freerider_with_params_as(key):
     return body
 
 
+def minimal_without(*path):
+    """A minimal scenario without the key at the end of `path`, e.g. ("agents", 3, "id")."""
+    body = minimal_scenario()
+    *outer, key = path
+    holder = body
+    for step in outer:
+        holder = holder[step]
+    del holder[key]
+    return body
+
+
 @pytest.mark.parametrize(
     "body,phrase",
     [
@@ -537,6 +552,18 @@ def freerider_with_params_as(key):
          "unknown script[0].action.backfill keys: all"),
         (minimal_scenario(msg_cost_c=True),
          "msg_cost_c must be a number or a fraction string, got True"),
+        # a missing required key is named by its path, as a wrong type is
+        (minimal_scenario(script=act({"pay": {"to": 2}})),
+         "script[0].action.pay.amount is required"),
+        (minimal_scenario(script=act({"pay": None})), "script[0].action.pay.to is required"),
+        (minimal_without("agents", 3, "id"), "agents[3].id is required"),
+        (minimal_without("agents", 3, "kind"), "agents[3].kind is required"),
+        (minimal_without("script", 0, "tick"), "script[0].tick is required"),
+        (minimal_without("script", 0, "agent"), "script[0].agent is required"),
+        (minimal_without("script", 0, "action"), "script[0].action is required"),
+        (minimal_without("agents"), "agents is required"),
+        (minimal_without("n"), "n is required"),
+        (minimal_without("t"), "t is required"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
@@ -547,7 +574,9 @@ def freerider_with_params_as(key):
          "number", "null", "array", "string", "money-supply-over-64-bits",
          "agent-unknown-key", "agent-not-object", "script-unknown-key", "script-item-not-object",
          "action-unknown-key", "pay-unknown-key", "pay-not-object", "backfill-int",
-         "backfill-unknown-key", "msg-cost-bool"],
+         "backfill-unknown-key", "msg-cost-bool", "pay-no-amount", "pay-null", "agent-no-id",
+         "agent-no-kind", "script-no-tick", "script-no-agent", "script-no-action", "no-agents",
+         "no-n", "no-t"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
     path = write_scenario(tmp_path, body)

@@ -122,6 +122,7 @@ class ChannelState:
         self.thresholds = thresholds
         self.emit = emit  # emit(kind, **fields) appends one trace record
         self.next_seq = 1  # meaningful on the owner only
+        self.initiated = 0  # the owner's highest broadcast seq; each is next_seq when sent
         self.last_echo: list[int] = [0] * (thresholds.n + 1)  # by agent id
         self.last_ready: list[int] = [0] * (thresholds.n + 1)
         # peer -> {seq: payload} queued behind a gap, first arrival wins
@@ -132,11 +133,10 @@ class ChannelState:
         self._fresh: list = []  # this receipt's new wave entries; on_receive flushes all
         self.echo_sent: set[int] = set()
         self.ready_sent: set[int] = set()
-        self.initial_sent: set[int] = set()
         # (seq, digest) -> votes consumed; see the module docstring
         self.echo_tally: dict[tuple[int, bytes], int] = {}
         self.ready_tally: dict[tuple[int, bytes], int] = {}
-        self.delivered: dict[int, bytes] = {}
+        self.delivered: set[int] = set()
         self._initial_digest: dict[int, bytes] = {}
         self._blocked_at: dict[AgentId, int] = {}  # blocked peer -> seq withheld
 
@@ -150,11 +150,11 @@ class ChannelState:
         """
         if self.self_id != self.owner:
             raise NotOwner(f"agent {self.self_id} does not own channel {self.owner}")
-        if payload.seq != self.next_seq or payload.seq in self.initial_sent:
+        if payload.seq != self.next_seq or payload.seq <= self.initiated:
             raise SeqMismatch(
                 f"channel {self.owner}: broadcast seq {payload.seq}, expected {self.next_seq}"
             )
-        self.initial_sent.add(payload.seq)
+        self.initiated = payload.seq
         msg = BroadcastMessage(self.owner, MessageKind.INITIAL, payload.seq, payload)
         return [(to, msg) for to in self.thresholds.peers]
 
@@ -270,7 +270,7 @@ class ChannelState:
         """Record the first delivery for seq; repeat quorum events yield nothing."""
         if seq in self.delivered:
             return None
-        self.delivered[seq] = payload.digest
+        self.delivered.add(seq)
         if self.self_id == self.owner and seq >= self.next_seq:
             self.next_seq = seq + 1
         return payload

@@ -202,7 +202,7 @@ class TraceView:
         if rec is None:
             raise ValueError("trace is empty")
         if rec.get("kind") != "CONFIG":
-            raise ValueError(f"record {rec.get('idx')} ({rec.get('kind')}) comes first, not CONFIG")
+            raise ValueError(f"record 0 ({rec.get('kind')}) comes first, not CONFIG")
         # every rule below raises _BadField, and only a field read raises KeyError
         pos = 0  # the record's place in the stream, which is its idx in a well-formed trace
         try:
@@ -424,61 +424,38 @@ def check_no_debt(view: TraceView) -> CheckReport:
 
 
 def check_conservation(view: TraceView) -> CheckReport:
-    """Replay every agent's balance updates and hold the money identity exact.
+    """Replay every agent's balance updates exactly.
 
-    At every snapshot: sum(B) + pending committed value + epsilon * live fee
-    credits == n * initial_balance. Also re-derives each execution's balance
-    delta, confirms it touched only the initiator's entry, and requires a
-    snapshot after every execution, the last one included.
+    Each agent's expected balances start at initial_balance. Each execution
+    adds its delta, dep_credit + epsilon * (len(converted) - n) - value if
+    committed, to its initiator's entry alone; every snapshot must equal
+    that vector, and one must follow every execution, the last included.
+
+    That holds the money identity, sum(B) + pending committed value +
+    epsilon * live fee credits == n * initial_balance, at every snapshot
+    without summing it: an execution adds value if committed - dep_credit
+    to the pending value and n - len(converted) to the live credits, which
+    is exactly what its delta takes from sum(B).
     """
-    eps = view.epsilon
-    total0 = view.n * view.initial_balance
+    eps, n = view.epsilon, view.n
     for agent in sorted(view.agent_kinds):
-        pending_value = 0
-        credit_count = 0
-        prev_b = (view.initial_balance,) * view.n
+        expected = [view.initial_balance] * n
         pending_exec: tuple | None = None
         for event in view.ledger_events(agent):
             if len(event) == 6:  # an EXECUTE
                 if pending_exec is not None:
-                    return CheckReport(
-                        "conservation", FAIL, f"agent {agent}: execute without snapshot"
-                    )
+                    break
                 pending_exec = event
                 _, _, verdict, dep_credit, converted, tx = event
-                pending_value += (tx[2] if verdict == "committed" else 0) - dep_credit
-                credit_count += view.n - len(converted)
-                continue
-            tick, balances = event
-            if pending_exec is None:
-                if balances != prev_b:
-                    return CheckReport(
-                        "conservation", FAIL, f"agent {agent}: balance change without execution"
-                    )
+                expected[tx[0] - 1] += (dep_credit + (len(converted) - n) * eps
+                                        - (tx[2] if verdict == "committed" else 0))
+            elif event[1] != tuple(expected):
+                why = ("balance change without execution" if pending_exec is None else
+                       f"executing {pending_exec[1]} changed balances beyond the initiator delta")
+                return CheckReport("conservation", FAIL, f"agent {agent}: {why}")
             else:
-                _, txid, verdict, dep_credit, converted, tx = pending_exec
-                delta = (
-                    dep_credit
-                    + len(converted) * eps
-                    - (tx[2] if verdict == "committed" else 0)
-                    - view.n * eps
-                )
-                expected = list(prev_b)
-                expected[tx[0] - 1] += delta
-                if balances != tuple(expected):
-                    return CheckReport(
-                        "conservation",
-                        FAIL,
-                        f"agent {agent}: executing {txid} changed balances beyond the "
-                        "initiator delta",
-                    )
                 pending_exec = None
-            if sum(balances) + pending_value + eps * credit_count != total0:
-                return CheckReport(
-                    "conservation", FAIL, f"agent {agent}: identity broken at tick {tick}"
-                )
-            prev_b = balances
-        if pending_exec is not None:  # the agent's last execution
+        if pending_exec is not None:  # followed by another execution, or by nothing
             return CheckReport("conservation", FAIL, f"agent {agent}: execute without snapshot")
     return CheckReport("conservation", PASS)
 

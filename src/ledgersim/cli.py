@@ -16,8 +16,9 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .checker import ALL_CHECKS, PASS, TraceView, run_all_checks, utility
 from .netsim import ConfigInvalid, ScriptAction, SimConfig, check_seed, run
@@ -32,13 +33,10 @@ EXIT_NONQUIESCENT = 3
 SCENARIO_ERRORS = (OSError, ValueError, OverflowError, ConfigInvalid)
 
 
-SCENARIO_KEYS = frozenset({
-    "n", "t", "epsilon", "initial_balance", "seed", "seeds", "seed_range", "d_min",
-    "d_max", "fifo_channels", "condition3_strict", "msg_cost_c", "agents", "script",
-    "max_steps",
-})
-AGENT_KEYS = frozenset({"id", "kind", "params"})
-SCRIPT_KEYS = frozenset({"tick", "agent", "action"})
+FIELD_TYPES = get_type_hints(SimConfig)  # a scalar setting must be exactly its field's type
+SCENARIO_KEYS = frozenset(FIELD_TYPES) | {"seeds", "seed_range"}
+AGENT_KEYS = frozenset(f.name for f in fields(AgentSpec))
+SCRIPT_KEYS = frozenset(f.name for f in fields(ScriptAction))
 VERB_KEYS = {"pay": frozenset({"to", "amount", "convert_fees"}), "backfill": frozenset()}
 
 
@@ -51,11 +49,17 @@ def known_keys(raw, allowed, where: str) -> None:
         raise ConfigInvalid(f"unknown {where} keys: {unknown}")
 
 
-def flag(raw: dict, key: str) -> bool:
-    """A JSON true/false field, default false; "false" is not a boolean."""
-    value = raw.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigInvalid(f"{key} must be true or false, got {value!r}")
+def array(value, name: str) -> list:
+    """A JSON array; an object or a string is no list of items."""
+    if type(value) is not list:
+        raise ConfigInvalid(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def flag(value, name: str) -> bool:
+    """A JSON true or false; "false" is not a boolean."""
+    if type(value) is not bool:
+        raise ConfigInvalid(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -77,7 +81,7 @@ def required(raw: dict, path: str):
 def parse_action(raw: dict, where: str) -> dict:
     known_keys(raw, VERB_KEYS.keys(), where)
     if len(raw) != 1:
-        raise ConfigInvalid(f"script action must name exactly one verb, got {sorted(raw)}")
+        raise ConfigInvalid(f"{where} must name exactly one verb, got {sorted(raw)}")
     [(verb, body)] = raw.items()
     if body is None:  # `"backfill": null` says what `{}` says
         body = {}
@@ -87,51 +91,50 @@ def parse_action(raw: dict, where: str) -> dict:
         action.update(
             to=integer(required(body, f"{where}.pay.to"), f"{where}.pay.to"),
             amount=integer(required(body, f"{where}.pay.amount"), f"{where}.pay.amount"),
-            convert_fees=flag(body, "convert_fees"),
+            convert_fees=flag(body.get("convert_fees", False), "convert_fees"),
         )
     return action
 
 
 def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
+    """The SimConfig a scenario describes, passing SimConfig only the keys it sets."""
     known_keys(raw, SCENARIO_KEYS, "scenario")
-    seed = scenario_seeds(raw, None)[0] if seed_override is None else seed_override
+    settings = {"seed": scenario_seeds(raw, None)[0] if seed_override is None else seed_override}
     try:
-        agents = []
-        for k, a in enumerate(required(raw, "agents")):
+        settings["agents"] = []
+        for k, a in enumerate(array(required(raw, "agents"), "agents")):
             where = f"agents[{k}]"
             known_keys(a, AGENT_KEYS, where)
-            spec = AgentSpec(integer(required(a, f"{where}.id"), f"{where}.id"),
-                             StrategyKind(required(a, f"{where}.kind")), a.get("params", {}))
+            agent = integer(required(a, f"{where}.id"), f"{where}.id")
+            kind = required(a, f"{where}.kind")
+            if kind not in tuple(StrategyKind):  # tested by ==, so a list is refused, not a TypeError
+                raise ConfigInvalid(f"{where}.kind must be one of {', '.join(StrategyKind)}, "
+                                    f"got {kind!r}")
+            spec = AgentSpec(**{**a, "id": agent, "kind": StrategyKind(kind)})
             if not isinstance(spec.params, dict):
                 raise ConfigInvalid(f"agent {spec.id}: params must be an object")
             try:
                 make_behavior(spec)
             except ValueError as exc:
                 raise ConfigInvalid(f"agent {spec.id}: bad params: {exc}") from None
-            agents.append(spec)
-        script = []
-        for k, s in enumerate(raw.get("script", [])):
-            where = f"script[{k}]"
-            known_keys(s, SCRIPT_KEYS, where)
-            action = f"{where}.action"
-            script.append(ScriptAction(integer(required(s, f"{where}.tick"), f"{where}.tick"),
-                                       integer(required(s, f"{where}.agent"), f"{where}.agent"),
-                                       parse_action(required(s, action), action)))
-        config = SimConfig(
-            n=integer(required(raw, "n"), "n"),
-            t=integer(required(raw, "t"), "t"),
-            epsilon=integer(raw.get("epsilon", 1), "epsilon"),
-            initial_balance=integer(raw.get("initial_balance", 1000), "initial_balance"),
-            seed=seed,
-            d_min=integer(raw.get("d_min", 1), "d_min"),
-            d_max=integer(raw.get("d_max", 1), "d_max"),
-            fifo_channels=flag(raw, "fifo_channels"),
-            condition3_strict=flag(raw, "condition3_strict"),
-            msg_cost_c=raw.get("msg_cost_c", 0),
-            agents=agents,
-            script=script,
-            max_steps=integer(raw.get("max_steps", 1_000_000), "max_steps"),
-        )
+            settings["agents"].append(spec)
+        if "script" in raw:
+            settings["script"] = []
+            for k, s in enumerate(array(raw["script"], "script")):
+                where = f"script[{k}]"
+                known_keys(s, SCRIPT_KEYS, where)
+                action = f"{where}.action"
+                settings["script"].append(ScriptAction(
+                    integer(required(s, f"{where}.tick"), f"{where}.tick"),
+                    integer(required(s, f"{where}.agent"), f"{where}.agent"),
+                    parse_action(required(s, action), action)))
+        for key in ("n", "t"):  # the fields SimConfig gives no default
+            required(raw, key)
+        for key, value in raw.items():
+            if key in FIELD_TYPES and key not in settings:
+                check = {int: integer, bool: flag}.get(FIELD_TYPES[key])
+                settings[key] = check(value, key) if check else value  # msg_cost_c: validate()
+        config = SimConfig(**settings)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad scenario field: {exc}") from exc
     config.validate()
@@ -140,7 +143,8 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
 
 def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
     """The seeds to run, from the first of: the --seeds flag, "seeds",
-    "seed_range" (inclusive), "seed", else [0]; `run` takes the first.
+    "seed_range" (inclusive), "seed", else SimConfig's default; `run` takes
+    the first.
 
     Every seed must fit in 64 bits. A range stays a `range`, so taking its
     first seed costs nothing, and checking its two ends checks all of it.
@@ -158,7 +162,7 @@ def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
             lo, hi = raw["seed_range"]
             seeds = range(integer(lo, "seed_range[0]"), integer(hi, "seed_range[1]") + 1)
         else:
-            seeds = [integer(raw.get("seed", 0), "seed")]
+            seeds = [integer(raw.get("seed", SimConfig.seed), "seed")]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad seeds: {exc}") from None
     if not seeds:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .broadcast import BroadcastMessage, MessageKind, Thresholds
 from .checker import as_fraction
@@ -134,24 +134,11 @@ class Simulator:
         # keyed once; each SEND hashes on a copy
         self._delay_hash = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little"))
         self._d_min, self._span = config.d_min, config.d_max - config.d_min + 1
-        self.recorder.emit(
-            "CONFIG",
-            n=config.n,
-            t=config.t,
-            epsilon=config.epsilon,
-            initial_balance=config.initial_balance,
-            seed=config.seed,
-            d_min=config.d_min,
-            d_max=config.d_max,
-            fifo_channels=config.fifo_channels,
-            condition3_strict=config.condition3_strict,
-            msg_cost_c=config.msg_cost_c,
-            max_steps=config.max_steps,
-            agents=[
-                {"id": s.id, "kind": s.kind.value, "params": dict(s.params)}
-                for s in sorted(config.agents, key=lambda s: s.id)
-            ],
-        )
+        # every field but the script, whose actions the records that follow show
+        settings = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "script"}
+        settings["agents"] = [{"id": s.id, "kind": s.kind.value, "params": dict(s.params)}
+                              for s in sorted(config.agents, key=lambda s: s.id)]
+        self.recorder.emit("CONFIG", **settings)
         self.agents = {
             spec.id: AgentStack(spec, config, self.thresholds, self.recorder)
             for spec in sorted(config.agents, key=lambda s: s.id)

@@ -68,7 +68,7 @@ class AgentStack:
 
     def channel_free(self) -> bool:
         own = self.own_channel()
-        return own.next_seq not in own.initial_sent
+        return own.initiated < own.next_seq
 
     def issue_pending(self, behavior: "CompliantBehavior") -> list:
         outputs: list = []

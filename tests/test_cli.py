@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 from collections.abc import Sequence
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from ledgersim.checker import TraceView
-from ledgersim.cli import main
-from ledgersim.netsim import run
+from ledgersim.cli import build_config, main
+from ledgersim.netsim import SimConfig, run
+from ledgersim.strategy import AgentSpec, StrategyKind
 from ledgersim.transaction import Transaction
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -224,7 +226,7 @@ INITIATOR_OUTSIDE_N = (
         (lambda lines: lines.insert(3, "[1,2]"), "not a JSON object: line 4"),
         (lambda lines: lines.insert(3, lines[3] + lines[4]), "Extra data: line 4 column"),
         (lambda lines: lines.__setitem__(3, lines[3][:-5]), "Unterminated string starting at: line 4"),
-        (lambda lines: lines.pop(0), "record 1 (SNAPSHOT) comes first, not CONFIG"),
+        (lambda lines: lines.pop(0), "record 0 (SNAPSHOT) comes first, not CONFIG"),
         (lambda lines: lines.clear(), "trace is empty"),
         (set_first("EXECUTE", "agent", [1]),
          "record 53 (EXECUTE) names agent [1], not an agent id"),
@@ -564,6 +566,20 @@ def minimal_without(*path):
         (minimal_without("agents"), "agents is required"),
         (minimal_without("n"), "n is required"),
         (minimal_without("t"), "t is required"),
+        # each rejection names the path of what it rejects
+        (minimal_scenario(agents=[{"id": i, "kind": "COMPLAINT" if i == 2 else "COMPLIANT"}
+                                  for i in range(1, 5)]),
+         "agents[1].kind must be one of COMPLIANT, BYZ_SILENT, BYZ_EQUIVOCATE, BYZ_OVERDRAFT, "
+         "BYZ_BAD_DEPS, RATIONAL_FREERIDER, RATIONAL_LAZY_EXEC, got 'COMPLAINT'"),
+        (minimal_scenario(agents=[{"id": i, "kind": 3 if i == 2 else "COMPLIANT"}
+                                  for i in range(1, 5)]),
+         "agents[1].kind must be one of COMPLIANT, BYZ_SILENT,"),
+        (minimal_scenario(agents=[{"id": i, "kind": [] if i == 2 else "COMPLIANT"}
+                                  for i in range(1, 5)]),
+         "agents[1].kind must be one of COMPLIANT, BYZ_SILENT,"),
+        (minimal_scenario(agents=5), "agents must be a list, got 5"),
+        (minimal_scenario(script=5), "script must be a list, got 5"),
+        (minimal_scenario(script=act({})), "script[0].action must name exactly one verb, got []"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
@@ -576,7 +592,8 @@ def minimal_without(*path):
          "action-unknown-key", "pay-unknown-key", "pay-not-object", "backfill-int",
          "backfill-unknown-key", "msg-cost-bool", "pay-no-amount", "pay-null", "agent-no-id",
          "agent-no-kind", "script-no-tick", "script-no-agent", "script-no-action", "no-agents",
-         "no-n", "no-t"],
+         "no-n", "no-t", "agent-kind-typo", "agent-kind-int", "agent-kind-list", "agents-int",
+         "script-int", "action-no-verb"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
     path = write_scenario(tmp_path, body)
@@ -584,6 +601,14 @@ def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phr
     assert phrase in capsys.readouterr().err
     assert main(["sweep", path]) == 2
     assert phrase in capsys.readouterr().err
+
+
+def test_a_scenario_that_omits_every_optional_key_gets_simconfigs_defaults():
+    agents = [{"id": i, "kind": "COMPLIANT"} for i in range(1, 5)]
+    config = build_config({"n": 4, "t": 1, "agents": agents})
+    defaults = SimConfig(4, 1, agents=[AgentSpec(i, StrategyKind.COMPLIANT) for i in range(1, 5)])
+    for field in fields(SimConfig):
+        assert getattr(config, field.name) == getattr(defaults, field.name), field.name
 
 
 @pytest.mark.parametrize("body", [{}, None], ids=["object", "null"])

@@ -1,13 +1,14 @@
 import heapq
 import json
 import random
+from dataclasses import fields
 from itertools import count
 
 import pytest
 
 import ledgersim as L
 from helpers import backfill, compliant_agents, make_config, pay, run_records
-from ledgersim.netsim import Simulator
+from ledgersim.netsim import SimConfig, Simulator
 from ledgersim.trace import dump_record
 
 
@@ -16,6 +17,16 @@ def test_identical_config_gives_byte_identical_traces():
     a = run_records(make_config(seed=42, d_max=10, script=script))
     b = run_records(make_config(seed=42, d_max=10, script=script))
     assert [dump_record(r) for r in a] == [dump_record(r) for r in b]
+
+
+def test_config_record_holds_every_field_but_the_script():
+    config = make_config(seed=42, d_max=10, script=[pay(0, 1, 2, 5)])
+    record = run_records(config)[0]
+    names = {f.name for f in fields(SimConfig)} - {"script"}
+    assert record.keys() == names | {"tick", "idx", "kind"}
+    for name in names - {"agents"}:
+        assert record[name] == getattr(config, name), name
+    assert record["agents"] == [{"id": i, "kind": "COMPLIANT", "params": {}} for i in range(1, 5)]
 
 
 def test_different_seed_changes_the_schedule():

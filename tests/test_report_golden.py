@@ -20,7 +20,9 @@ import random
 
 from ledgersim.checker import (
     ALL_CHECKS,
+    PASS,
     TraceView,
+    check_conservation,
     converted_credits,
     utility,
 )
@@ -125,3 +127,36 @@ def test_corrupted_trace_reports_match_golden_digest():
             out.append([name, k, in_memory])
     text = json.dumps(out, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == CORRUPTED_DIGEST
+
+
+def money_identity_holds(records) -> bool:
+    """At every SNAPSHOT of every agent: sum(B) + the committed value pending in
+    its payment buffers + epsilon * its live fee credits == n * initial_balance."""
+    config = records[0]
+    n, eps, total = config["n"], config["epsilon"], config["n"] * config["initial_balance"]
+    pending, credits = [0] * (n + 1), [0] * (n + 1)
+    for r in records:
+        if r["kind"] == "EXECUTE":
+            committed = r["tx"]["value"] if r["verdict"] == "committed" else 0
+            pending[r["agent"]] += committed - r["dep_credit"]
+            credits[r["agent"]] += n - len(r["converted"])
+        elif r["kind"] == "SNAPSHOT":
+            if sum(r["B"]) + pending[r["agent"]] + eps * credits[r["agent"]] != total:
+                return False
+    return True
+
+
+def test_money_identity_holds_wherever_conservation_passes():
+    """check_conservation replays balances and never sums the identity; each
+    trace it passes, pinned or corrupted, must hold the identity all the same."""
+    rng = random.Random(14)  # the corruptions the corrupted-trace digest pins
+    held = broken = 0
+    for name in sorted(SCENARIO_GOLDEN):
+        records = run(build_config(load_scenario(str(SCENARIOS / name)))).records
+        for k, trace in enumerate([records, *corrupt(records, rng)]):
+            if check_conservation(TraceView(trace)).status == PASS:
+                assert money_identity_holds(trace), (name, k)
+                held += 1
+            else:
+                broken += not money_identity_holds(trace)
+    assert held > len(SCENARIO_GOLDEN) and broken > 0  # neither branch is vacuous

@@ -144,25 +144,25 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
 def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
     """The seeds to run, from the first of: the --seeds flag, "seeds",
     "seed_range" (inclusive), "seed", else SimConfig's default; `run` takes
-    the first.
+    the first. Every seed key the scenario sets is type-checked, even one
+    that a key before it shadows.
 
-    Every seed must fit in 64 bits. A range stays a `range`, so taking its
-    first seed costs nothing, and checking its two ends checks all of it.
+    Every seed run must fit in 64 bits. A range stays a `range`, so taking
+    its first seed costs nothing, and checking its two ends checks all of it.
     """
-    try:
+    try:  # lowest precedence first, each key present overriding the last
+        seeds = [integer(raw.get("seed", SimConfig.seed), "seed")]
+        if "seed_range" in raw:
+            lo, hi = raw["seed_range"]
+            seeds = range(integer(lo, "seed_range[0]"), integer(hi, "seed_range[1]") + 1)
+        if "seeds" in raw:
+            seeds = [integer(s, f"seeds[{k}]") for k, s in enumerate(raw["seeds"])]
         if flag:
             if ".." in flag:
                 lo, hi = flag.split("..")
                 seeds = range(int(lo), int(hi) + 1)
             else:
                 seeds = [int(s) for s in flag.split(",")]
-        elif "seeds" in raw:
-            seeds = [integer(s, f"seeds[{k}]") for k, s in enumerate(raw["seeds"])]
-        elif "seed_range" in raw:
-            lo, hi = raw["seed_range"]
-            seeds = range(integer(lo, "seed_range[0]"), integer(hi, "seed_range[1]") + 1)
-        else:
-            seeds = [integer(raw.get("seed", SimConfig.seed), "seed")]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"bad seeds: {exc}") from None
     if not seeds:

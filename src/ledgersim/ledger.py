@@ -7,6 +7,7 @@ executed), and fee cover (the initiator's balance exceeds n*epsilon, or the
 transaction converts enough live fee credits to pay the fee). A transaction
 that executes but cannot fund its own transfer, or that references a bad
 dependency, is marked bad: the fee is still charged, the value never moves.
+It writes its own records: a SNAPSHOT when built, an EXECUTE then a SNAPSHOT per execution.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .trace import tx_fields, txid_field
 from .transaction import AgentId, Money, Transaction, TxId
 
 
@@ -54,10 +56,12 @@ class LedgerState:
         n: int,
         epsilon: Money,
         initial_balance: Money,
+        emit: Callable,
         condition3_strict: bool = False,
     ):
         agents = range(1, n + 1)
         self.self_id = self_id
+        self.emit = emit  # emit(kind, **fields) appends one trace record
         self.n = n
         self.epsilon = epsilon
         self.condition3_strict = condition3_strict
@@ -68,6 +72,7 @@ class LedgerState:
         self.ctr = 1
         self.exec_buffer: dict[TxId, Transaction] = {}
         self.executed: dict[TxId, ExecutionReport] = {}
+        emit("SNAPSHOT", **self.snapshot())
 
     # -- initiating ---------------------------------------------------------
 
@@ -97,16 +102,11 @@ class LedgerState:
 
     # -- execution ----------------------------------------------------------
 
-    def on_rrb_deliver(
-        self, tx: Transaction, on_execute: Callable[[ExecutionReport], None] | None = None
-    ) -> list[ExecutionReport]:
-        """Buffer a delivered transaction and drain whatever became executable.
-
-        on_execute, when given, sees each report right after its execution,
-        while the ledger still shows that execution and none after it.
-        """
+    def on_rrb_deliver(self, tx: Transaction) -> list[ExecutionReport]:
+        """Buffer a delivered transaction and drain whatever became executable;
+        each execution writes its EXECUTE and SNAPSHOT records as it happens."""
         self.exec_buffer[tx.id] = tx
-        return self.try_execute(on_execute)
+        return self.try_execute()
 
     def conditions_met(self, tx: Transaction) -> bool:
         if self.S[tx.initiator] != tx.seq - 1:
@@ -151,6 +151,11 @@ class LedgerState:
         self.exec_buffer.pop(tx.id, None)
         report = ExecutionReport(tx, bad, dep_credit, converted)
         self.executed[tx.id] = report
+        self.emit("EXECUTE", agent=self.self_id, verdict=report.verdict, dep_credit=dep_credit,
+                  converted=[txid_field(t) for t in converted], txid=txid_field(tx.id),
+                  tx=tx_fields(tx))
+        # the SNAPSHOT right after each EXECUTE is what check_conservation replays
+        self.emit("SNAPSHOT", **self.snapshot())
         return report
 
     def commit(self, tx: Transaction) -> None:
@@ -158,9 +163,7 @@ class LedgerState:
         self.B[tx.initiator] -= tx.value
         self.Q[tx.recipient].add(tx.id)
 
-    def try_execute(
-        self, on_execute: Callable[[ExecutionReport], None] | None = None
-    ) -> list[ExecutionReport]:
+    def try_execute(self) -> list[ExecutionReport]:
         """Execute buffered transactions to a fixpoint, ascending (initiator, seq)."""
         reports: list[ExecutionReport] = []
         progress = True
@@ -169,14 +172,19 @@ class LedgerState:
             for txid in sorted(self.exec_buffer):
                 tx = self.exec_buffer[txid]
                 if self.conditions_met(tx):
-                    report = self.execute(tx)
-                    reports.append(report)
-                    if on_execute is not None:
-                        on_execute(report)
+                    reports.append(self.execute(tx))
                     progress = True
         return reports
 
     # -- reporting ----------------------------------------------------------
+
+    def pending_value(self) -> Money:
+        """The committed value in Q, moved out of its initiator and not yet credited."""
+        return sum(self.executed[t].tx.value for q in self.Q.values() for t in q)
+
+    def live_credits(self) -> int:
+        """The fee credits in F, each worth epsilon once converted."""
+        return sum(map(len, self.F.values()))
 
     def snapshot(self) -> dict:
         # every map was filled in agent order, 1..n, and never loses or gains a key

@@ -143,8 +143,6 @@ class Simulator:
             spec.id: AgentStack(spec, config, self.thresholds, self.recorder)
             for spec in sorted(config.agents, key=lambda s: s.id)
         }
-        for agent in self.agents.values():
-            self.recorder.emit("SNAPSHOT", **agent.ledger.snapshot())
         for item in config.script:
             self._calendar.setdefault(item.tick, []).append(item)
         self._ticks: list[int] = sorted(self._calendar)  # heap of the calendar's ticks

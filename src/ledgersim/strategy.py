@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Mapping
 
 from .broadcast import BroadcastMessage, ChannelState, MessageKind, Thresholds
-from .ledger import ExecutionReport, InsufficientBalance, LedgerState
-from .trace import TraceRecorder, tx_fields, txid_field
+from .ledger import InsufficientBalance, LedgerState
+from .trace import TraceRecorder, txid_field
 from .transaction import WIRE_MAX, AgentId, Transaction, TxId
 
 
@@ -45,7 +45,7 @@ class AgentStack:
         self.spec = spec
         self.recorder = recorder
         self.ledger = LedgerState(
-            spec.id, config.n, config.epsilon, config.initial_balance,
+            spec.id, config.n, config.epsilon, config.initial_balance, recorder.emit,
             condition3_strict=config.condition3_strict,
         )
         self.channels = {
@@ -85,19 +85,6 @@ class AgentStack:
             digest=tx.digest_hex,
             txid=txid_field(tx.id),
         )
-
-    def record_execution(self, report: ExecutionReport) -> None:
-        tx = report.tx
-        self.recorder.emit(
-            "EXECUTE",
-            agent=self.id,
-            verdict=report.verdict,
-            dep_credit=report.dep_credit,
-            converted=[txid_field(t) for t in report.converted],
-            txid=txid_field(tx.id),
-            tx=tx_fields(tx),
-        )
-        self.recorder.emit("SNAPSHOT", **self.ledger.snapshot())
 
 
 def _natural(value) -> int:
@@ -187,9 +174,7 @@ class CompliantBehavior:
                 )
                 continue
             if self.executes(stack, tx):
-                # one delivery can execute several buffered transactions;
-                # each SNAPSHOT must show the ledger right after its own
-                stack.ledger.on_rrb_deliver(tx, stack.record_execution)
+                stack.ledger.on_rrb_deliver(tx)
         outputs.extend(stack.issue_pending(self))
         return self.filter_outbound(stack, outputs)
 

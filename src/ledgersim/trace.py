@@ -4,15 +4,18 @@ Records are JSON objects, one per line, strictly ordered by (tick, idx).
 A CONFIG record opens every trace and an END record closes it, so a trace
 file is self-describing for offline checking. `read_trace` streams a written
 file back one record at a time, so a reader never holds more of it than it
-keeps. All other kinds are events:
+keeps. All other kinds are events, each written by the module named after
+it, where it is decided (netsim writes CONFIG and END):
 
-    SEND / RECV        network traffic (loopback self-messages are not traced)
-    RRB_DELIVER        broadcast layer handed a payload to the ledger
+    SEND / RECV        network traffic, loopback self-messages untraced (netsim)
+    RRB_DELIVER        broadcast layer handed a payload to the ledger (strategy)
     EXECUTE            ledger applied a transaction; payload, verdict,
-                       dep_credit and converted state all that it did
-    RETAL_BLOCK/UNBLOCK  outgoing gate closed/reopened toward a peer
-    SNAPSHOT           full balance/sequence vectors of one agent
-    BYZ_EVIDENCE       observed deviation, logged and never acted on
+                       dep_credit and converted state all that it did (ledger)
+    RETAL_BLOCK/UNBLOCK  outgoing gate closed/reopened toward a peer (broadcast)
+    SNAPSHOT           full balance/sequence vectors of one agent, at the start
+                       and right after each EXECUTE (ledger)
+    BYZ_EVIDENCE       observed deviation, logged and never acted on (broadcast;
+                       strategy for a payload delivered on another's channel)
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from ledgersim.checker import (
     check_conservation,
     check_delivery_provenance,
     check_dependency_closure,
+    check_integrity,
     check_no_debt,
     check_rrb_uniqueness,
     check_source_order,
@@ -258,6 +259,11 @@ def reference_itself(records):
     records[find(records, "EXECUTE", 1, [2, 1])]["tx"]["deps"].append([2, 1])
 
 
+def repeat_execution(records):
+    k = find(records, "EXECUTE", 2, [1, 1])
+    records.insert(k + 1, dict(records[k]))
+
+
 MUTATIONS = {
     "snapshot_balance": (skim_balance, check_conservation, "agent 3"),
     "execute_verdict": (flip_verdict, check_agreement, "(3, 1)"),
@@ -270,6 +276,7 @@ MUTATIONS = {
         "agent 2 executed (3, 1) with TxId(initiator=4, seq=1) missing",
     ),
     "self_reference": (reference_itself, check_dependency_closure, "executed (2, 1) before (2, 1)"),
+    "repeated_execution": (repeat_execution, check_integrity, "agent 2 executed (1, 1) twice"),
 }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgersim.checker import TraceView
+from ledgersim.checker import FAIL, CheckReport, TraceView
 from ledgersim.cli import build_config, main
 from ledgersim.netsim import SimConfig, run
 from ledgersim.strategy import AgentSpec, StrategyKind
@@ -48,6 +48,12 @@ def test_run_with_checks_passes_on_shipped_scenario(capsys):
     assert code == 0
     assert out.count("[PASS]") == len([l for l in out.splitlines() if l.startswith("[")])
     assert "[PASS] validity" in out and "[PASS] conservation" in out
+
+
+def test_run_with_a_failing_check_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr("ledgersim.cli.ALL_CHECKS", (lambda view: CheckReport("x", FAIL, "y"),))
+    assert main(["run", str(SCENARIOS / "allgood.json"), "--check"]) == 1
+    assert capsys.readouterr().out == "[FAIL] x: y\n"
 
 
 def test_run_summary_prints_balances_and_utility(capsys):
@@ -580,6 +586,14 @@ def minimal_without(*path):
         (minimal_scenario(agents=5), "agents must be a list, got 5"),
         (minimal_scenario(script=5), "script must be a list, got 5"),
         (minimal_scenario(script=act({})), "script[0].action must name exactly one verb, got []"),
+        # a seed key shadowed by one of higher precedence is still checked
+        (minimal_scenario(seeds=[1], seed="3"), "seed must be an integer, got '3'"),
+        (minimal_scenario(seeds=[1], seed_range="x"), "bad seeds: not enough values to unpack"),
+        (minimal_scenario(d_min=5, d_max=3), "d_min must not exceed d_max"),
+        (minimal_scenario(n=0, t=0, agents=[], script=[]), "n must be positive"),
+        (minimal_scenario(script=[dict(pay_to(2)[0], tick=-1)]),
+         "script ticks must be non-negative"),
+        (minimal_scenario(script=[dict(pay_to(2)[0], agent=9)]), "script names unknown agent 9"),
     ],
     ids=["unknown-recipient", "self-pay", "negative-amount", "amount-over-64-bits", "bad-msg-cost",
          "string-boolean", "unknown-key", "params-not-object", "infinite-d_max",
@@ -593,7 +607,8 @@ def minimal_without(*path):
          "backfill-unknown-key", "msg-cost-bool", "pay-no-amount", "pay-null", "agent-no-id",
          "agent-no-kind", "script-no-tick", "script-no-agent", "script-no-action", "no-agents",
          "no-n", "no-t", "agent-kind-typo", "agent-kind-int", "agent-kind-list", "agents-int",
-         "script-int", "action-no-verb"],
+         "script-int", "action-no-verb", "seed-str-under-seeds", "seed_range-str-under-seeds",
+         "d_min-over-d_max", "n-zero", "tick-negative", "script-unknown-agent"],
 )
 def test_malformed_scenario_exits_two_with_a_message(tmp_path, capsys, body, phrase):
     path = write_scenario(tmp_path, body)

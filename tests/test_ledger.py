@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import ledgersim as L
+from helpers import make_config, random_payment_script
 from ledgersim.ledger import (
     AlreadyExecuted,
     ConditionsNotMet,
@@ -9,8 +13,8 @@ from ledgersim.ledger import (
 from ledgersim.transaction import Transaction, TxId
 
 
-def ledger(self_id=1, n=4, epsilon=1, balance=100, strict=False):
-    return LedgerState(self_id, n, epsilon, balance, condition3_strict=strict)
+def ledger(self_id=1, n=4, epsilon=1, balance=100, strict=False, emit=lambda kind, **fields: None):
+    return LedgerState(self_id, n, epsilon, balance, emit, condition3_strict=strict)
 
 
 def seed_executed(led, initiator, seq, recipient, value):
@@ -228,14 +232,19 @@ def test_fixpoint_cascades_across_initiators():
     assert [r.tx.id for r in reports] == [first.id, second.id]
 
 
-def test_on_execute_sees_each_execution_before_the_next():
-    led = ledger()
+def test_ledger_records_each_execution_before_the_next():
+    seen = []
+    led = ledger(emit=lambda kind, **fields: seen.append((kind, fields)))
     first = Transaction(3, 4, 1, 1)
     second = Transaction(4, 2, 1, 1, deps=frozenset({first.id}))
     led.exec_buffer[second.id] = second
-    seen = []
-    reports = led.on_rrb_deliver(first, lambda r: seen.append((r.tx.id, led.snapshot()["S"])))
-    assert seen == [(first.id, [0, 0, 1, 0]), (second.id, [0, 0, 1, 1])]
+    reports = led.on_rrb_deliver(first)
+    summary = [(kind, f["txid"] if kind == "EXECUTE" else f["S"]) for kind, f in seen]
+    assert summary == [
+        ("SNAPSHOT", [0, 0, 0, 0]),
+        ("EXECUTE", [3, 1]), ("SNAPSHOT", [0, 0, 1, 0]),
+        ("EXECUTE", [4, 1]), ("SNAPSHOT", [0, 0, 1, 1]),
+    ]
     assert [r.tx.id for r in reports] == [first.id, second.id]
 
 
@@ -249,3 +258,37 @@ def test_snapshot_shape():
         "f_counts": [0, 0, 0, 0],
         "q_counts": [0, 0, 0, 0],
     }
+
+
+# -- money identity -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("discard", [False, True], ids=["kept", "one-credit-discarded"])
+def test_money_identity_holds_at_every_snapshot(discard):
+    """sum(B) + pending value + epsilon * live credits is the money supply on
+    every ledger at every SNAPSHOT it writes; one discarded credit breaks it."""
+    n = 7
+    script = random_payment_script(n, 60, random.Random(7))
+    config = make_config(n=n, t=2, seed=7, d_max=9, script=script)
+    sim = L.Simulator(config)
+    totals = []
+
+    def checking(led, emit):
+        def stand_in(kind, **fields):
+            if kind == "SNAPSHOT":
+                if discard and len(totals) == 100:
+                    led.F[1].discard(min(led.F[1]))
+                totals.append(sum(led.B.values()) + led.pending_value()
+                              + config.epsilon * led.live_credits())
+            return emit(kind, **fields)
+        return stand_in
+
+    for stack in sim.agents.values():
+        stack.ledger.emit = checking(stack.ledger, stack.ledger.emit)
+    sim.run()
+    supply = n * config.initial_balance
+    assert len(totals) == sum(len(stack.ledger.executed) for stack in sim.agents.values()) > 100
+    if discard:
+        assert set(totals[:100]) == {supply} and totals[100] == supply - config.epsilon
+    else:
+        assert set(totals) == {supply}

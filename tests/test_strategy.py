@@ -4,7 +4,7 @@ import pytest
 
 import ledgersim as L
 from helpers import backfill, incentive_script, make_config, pay, run_records
-from ledgersim.broadcast import ChannelState, MessageKind, Thresholds
+from ledgersim.broadcast import BroadcastMessage, ChannelState, MessageKind, Thresholds
 from ledgersim.checker import (
     TraceView,
     check_conservation,
@@ -14,7 +14,7 @@ from ledgersim.checker import (
 )
 from ledgersim.ledger import LedgerState
 from ledgersim.trace import TraceRecorder
-from ledgersim.transaction import TxId
+from ledgersim.transaction import Transaction, TxId
 
 
 def kinds_of(records, **match):
@@ -230,6 +230,19 @@ def test_mint_only_what_can_execute(balance, amount, live, convert, mints):
         assert stack.ledger.fee_covered(1, out[0][1].payload.fees)
 
 
+def test_a_payload_delivered_on_a_channel_not_its_own_is_evidence_not_executed():
+    config = make_config()
+    recorder = TraceRecorder()
+    stack = L.AgentStack(config.agents[3], config, Thresholds(4, 1), recorder)
+    foreign = Transaction(2, 3, 5, 1)  # agent 2's seq 1, sent on agent 1's channel
+    stack.on_message(1, BroadcastMessage(1, MessageKind.INITIAL, 1, foreign))
+    for frm in (1, 2, 3):
+        stack.on_message(frm, BroadcastMessage(1, MessageKind.READY, 1, foreign))
+    assert [r["kind"] for r in recorder.records] == ["SNAPSHOT", "RRB_DELIVER", "BYZ_EVIDENCE"]
+    assert recorder.records[2]["reason"] == "payload-identity-mismatch"
+    assert stack.ledger.executed == {} and stack.ledger.exec_buffer == {}
+
+
 # -- utility accounting ----------------------------------------------------------------
 
 
@@ -303,7 +316,7 @@ def assert_matches_raw_replica(d_min, script, gated):
     thresholds = Thresholds(4, 1)
     recorder = TraceRecorder()
     channels = {c: ChannelState(c, agent, thresholds, recorder.emit) for c in range(1, 5)}
-    ledger = LedgerState(agent, 4, 1, 1000)
+    ledger = LedgerState(agent, 4, 1, 1000, lambda kind, **fields: None)
 
     inbound: dict[int, list] = {}
     for r in records:

@@ -99,7 +99,8 @@ def parse_action(raw: dict, where: str) -> dict:
 def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
     """The SimConfig a scenario describes, passing SimConfig only the keys it sets."""
     known_keys(raw, SCENARIO_KEYS, "scenario")
-    settings = {"seed": scenario_seeds(raw, None)[0] if seed_override is None else seed_override}
+    seed = scenario_seeds(raw, None)[0]  # checks every seed key, even under an override
+    settings = {"seed": seed if seed_override is None else seed_override}
     try:
         settings["agents"] = []
         for k, a in enumerate(array(required(raw, "agents"), "agents")):
@@ -268,8 +269,10 @@ def cmd_sweep(args) -> int:
     if isinstance(seeds, list):
         seeds = sorted(seeds)  # a range is already ascending
     # each seed is drawn as its run starts and only failures are kept, so a
-    # long range costs no memory up front
-    payloads = ((raw, seed) for seed in seeds)
+    # long range costs no memory up front; the seed keys, checked above, are
+    # dropped so that no run re-checks a long seed list
+    bare = {k: v for k, v in raw.items() if k not in ("seed", "seeds", "seed_range")}
+    payloads = ((bare, seed) for seed in seeds)
     if args.workers > 1:
         import multiprocessing  # here, so that run, check and a serial sweep never load it
     with multiprocessing.Pool(args.workers) if args.workers > 1 else nullcontext() as pool:

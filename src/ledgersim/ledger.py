@@ -69,15 +69,14 @@ class LedgerState:
         self.S: dict[AgentId, int] = {i: 0 for i in agents}
         self.F: dict[AgentId, set[TxId]] = {i: set() for i in agents}
         self.Q: dict[AgentId, set[TxId]] = {i: set() for i in agents}
-        self.ctr = 1
         self.exec_buffer: dict[TxId, Transaction] = {}
         self.executed: dict[TxId, ExecutionReport] = {}
         emit("SNAPSHOT", **self.snapshot())
 
     # -- initiating ---------------------------------------------------------
 
-    def pay(self, recipient: AgentId, amount: Money, convert_fees: bool = False) -> Transaction:
-        """Mint the next outgoing transaction; the caller broadcasts it.
+    def pay(self, recipient: AgentId, amount: Money, seq: int, convert_fees=False) -> Transaction:
+        """Mint the outgoing transaction `seq`; the caller broadcasts it.
 
         The referenced payment/fee buffers are consumed when the transaction
         executes (the intersections in execute), not here: consuming them
@@ -96,9 +95,7 @@ class LedgerState:
                 f"balance {self.B[me]} < {amount} + {self.n}*{self.epsilon}"
             )
         fees = frozenset(self.F[me]) if convert_fees else frozenset()
-        tx = Transaction(me, recipient, amount, self.ctr, frozenset(self.Q[me]), fees)
-        self.ctr += 1
-        return tx
+        return Transaction(me, recipient, amount, seq, frozenset(self.Q[me]), fees)
 
     # -- execution ----------------------------------------------------------
 

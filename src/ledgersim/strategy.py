@@ -63,17 +63,18 @@ class AgentStack:
 
     # -- shared plumbing used by the behaviors ------------------------------
 
-    def own_channel(self):
-        return self.channels[self.id]
-
     def channel_free(self) -> bool:
-        own = self.own_channel()
+        own = self.channels[self.id]
         return own.initiated < own.next_seq
 
-    def issue_pending(self, behavior: "CompliantBehavior") -> list:
+    def issue_pending(self) -> list:
+        """Mint and broadcast pending pays while the own channel is free; nothing else sends one."""
+        own = self.channels[self.id]
         outputs: list = []
         while self.pending and self.channel_free():
-            outputs.extend(behavior.mint(self, self.pending.popleft()) or ())
+            tx = self.behavior.mint(self, self.pending.popleft(), own.next_seq)
+            if tx is not None:
+                outputs.extend(own.broadcast(tx))
         return outputs
 
     def record_deliver(self, channel: AgentId, seq: int, tx: Transaction) -> None:
@@ -136,7 +137,8 @@ class CompliantBehavior:
     def filter_outbound(self, stack: AgentStack, outputs: list) -> list:
         return outputs
 
-    def mint(self, stack: AgentStack, action: dict):
+    def mint(self, stack: AgentStack, action: dict, seq: int) -> Transaction | None:
+        """The payload to send as `seq` for a pay action, or None to drop it."""
         ledger = stack.ledger
         convert = bool(action.get("convert_fees", False))
         # never mint a transaction whose fee-cover check can never pass: it
@@ -144,16 +146,15 @@ class CompliantBehavior:
         if not ledger.fee_covered(stack.id, ledger.F[stack.id] if convert else ()):
             return None
         try:
-            tx = ledger.pay(action["to"], int(action["amount"]), convert)
+            return ledger.pay(action["to"], int(action["amount"]), seq, convert)
         except InsufficientBalance:
             return None
-        return stack.own_channel().broadcast(tx)
 
     def on_action(self, stack: AgentStack, action: dict) -> list:
         outputs: list = []
         if action.get("type", "pay") == "pay":
             stack.pending.append(action)
-            outputs = stack.issue_pending(self)
+            outputs = stack.issue_pending()
         return self.filter_outbound(stack, outputs)
 
     def on_message(self, stack: AgentStack, frm: AgentId, msg: BroadcastMessage) -> list:
@@ -165,17 +166,16 @@ class CompliantBehavior:
         for seq, tx in outcome.delivered:
             stack.record_deliver(msg.channel, seq, tx)
             if tx.initiator != msg.channel or tx.seq != seq:
-                stack.recorder.emit(
-                    "BYZ_EVIDENCE",
-                    agent=stack.id,
-                    channel=msg.channel,
-                    seq=seq,
-                    reason="payload-identity-mismatch",
-                )
+                fault = "payload-identity-mismatch"
+            elif tx.recipient not in stack.channels:
+                fault = "unknown-recipient"  # no ledger holds an account for it
+            else:
+                if self.executes(stack, tx):
+                    stack.ledger.on_rrb_deliver(tx)
                 continue
-            if self.executes(stack, tx):
-                stack.ledger.on_rrb_deliver(tx)
-        outputs.extend(stack.issue_pending(self))
+            stack.recorder.emit("BYZ_EVIDENCE", agent=stack.id, channel=msg.channel, seq=seq,
+                                reason=fault)
+        outputs.extend(stack.issue_pending())
         return self.filter_outbound(stack, outputs)
 
 
@@ -195,7 +195,8 @@ class EquivocateBehavior(CompliantBehavior):
     params: alt_to, alt_amount (the second payload's recipient and value;
     by default another agent and amount + 1, or amount - 1 where amount + 1
     would not fit the 64-bit wire field), alt_targets (the agents sent
-    the second payload; by default the last third of the others).
+    the second payload; by default the last third of the others). A pay
+    that finds the channel busy is dropped, not queued.
     """
 
     def __init__(self, params):
@@ -205,23 +206,27 @@ class EquivocateBehavior(CompliantBehavior):
         self.alt_targets = _param(params, "alt_targets", _naturals)
 
     def on_action(self, stack, action):
-        if action.get("type", "pay") != "pay" or not stack.channel_free():
-            return []
-        me, seq = stack.id, stack.own_channel().next_seq
-        to = int(action["to"])
-        amount = int(action["amount"])
-        others = [i for i in sorted(stack.channels) if i != me]
+        return super().on_action(stack, action) if stack.channel_free() else []
+
+    def mint(self, stack, action, seq):
+        return Transaction(stack.id, int(action["to"]), int(action["amount"]), seq)
+
+    def filter_outbound(self, stack, outputs):
+        """Swap the second payload into the own INITIAL wave for alt_targets."""
+        if not outputs or outputs[0][1].kind is not MessageKind.INITIAL:
+            return outputs
+        honest = outputs[0][1].payload
+        others = [i for i in sorted(stack.channels) if i != stack.id]
         alt_to = self.alt_to
         if alt_to is None:
-            alt_to = next(i for i in others if i != to)
+            alt_to = next(i for i in others if i != honest.recipient)
         alt_amount = self.alt_amount
         if alt_amount is None:
-            alt_amount = amount + 1 if amount < WIRE_MAX else amount - 1
+            alt_amount = honest.value + 1 if honest.value < WIRE_MAX else honest.value - 1
         alt_targets = self.alt_targets
         if alt_targets is None:
             alt_targets = set(others[len(others) - len(others) // 3:])
-        outputs = stack.own_channel().broadcast(Transaction(me, to, amount, seq))
-        alt = replace(outputs[0][1], payload=Transaction(me, alt_to, alt_amount, seq))
+        alt = replace(outputs[0][1], payload=Transaction(stack.id, alt_to, alt_amount, honest.seq))
         return [(target, alt if target in alt_targets else msg) for target, msg in outputs]
 
 
@@ -237,10 +242,9 @@ class OverdraftBehavior(CompliantBehavior):
         super().__init__(params)
         self.extra = _param(params, "extra", _natural, 100)
 
-    def mint(self, stack, action):
+    def mint(self, stack, action, seq):
         value = min(stack.ledger.B[stack.id] + self.extra, WIRE_MAX)
-        tx = Transaction(stack.id, int(action["to"]), value, stack.own_channel().next_seq)
-        return stack.own_channel().broadcast(tx)
+        return Transaction(stack.id, int(action["to"]), value, seq)
 
 
 class BadDepsBehavior(CompliantBehavior):
@@ -254,21 +258,15 @@ class BadDepsBehavior(CompliantBehavior):
         super().__init__(params)
         self.bad_ref = _param(params, "bad_ref", _txid)
 
-    def mint(self, stack, action):
+    def mint(self, stack, action, seq):
         bad_ref = self.bad_ref
         if bad_ref is None:
             bad = sorted(t for t, r in stack.ledger.executed.items() if r.bad)
             bad_ref = bad[0] if bad else None
         if bad_ref is None:
-            return super().mint(stack, action)
-        tx = Transaction(
-            stack.id,
-            int(action["to"]),
-            int(action["amount"]),
-            stack.own_channel().next_seq,
-            deps=frozenset({bad_ref}),
-        )
-        return stack.own_channel().broadcast(tx)
+            return super().mint(stack, action, seq)
+        deps = frozenset({bad_ref})
+        return Transaction(stack.id, int(action["to"]), int(action["amount"]), seq, deps=deps)
 
 
 class FreeriderBehavior(CompliantBehavior):

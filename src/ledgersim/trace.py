@@ -15,7 +15,7 @@ it, where it is decided (netsim writes CONFIG and END):
     SNAPSHOT           full balance/sequence vectors of one agent, at the start
                        and right after each EXECUTE (ledger)
     BYZ_EVIDENCE       observed deviation, logged and never acted on (broadcast;
-                       strategy for a payload delivered on another's channel)
+                       strategy for a payload on another's channel or to no agent)
 """
 
 from __future__ import annotations

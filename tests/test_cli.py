@@ -470,6 +470,18 @@ def test_byzantine_mint_at_the_wire_limit_stays_wire_valid(
                             Transaction(1, 3, 2**64 - 2, 1).digest_hex}
 
 
+def test_an_alt_payload_paying_an_unknown_agent_is_evidence_not_a_crash(tmp_path, capsys):
+    body = json.loads((SCENARIOS / "equivocate.json").read_text())
+    body["agents"][0]["params"] = {"alt_to": 99, "alt_targets": [2, 3, 4]}
+    trace = tmp_path / "run.jsonl"
+    assert main(["run", write_scenario(tmp_path, body), "--check", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 9
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    evidence = [r["agent"] for r in records
+                if r["kind"] == "BYZ_EVIDENCE" and r["reason"] == "unknown-recipient"]
+    assert sorted(evidence) == [1, 2, 3, 4]
+
+
 def pay_to(to, amount=5):
     return [{"tick": 0, "agent": 1, "action": {"pay": {"to": to, "amount": amount}}}]
 
@@ -771,3 +783,21 @@ def test_run_seed_override_changes_trace(tmp_path):
     main(["run", path, "--trace", str(t1)])
     main(["run", path, "--trace", str(t2), "--seed", "99"])
     assert t1.read_text() != t2.read_text()
+
+
+@pytest.mark.parametrize(
+    "over,phrase",
+    [
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"seeds": [1], "seed": "3"}, "seed must be an integer, got '3'"),
+        ({"seed_range": "x"}, "bad seeds: not enough values to unpack"),
+        ({"seeds": [2**64]}, "seed 18446744073709551616 must fit in 64 bits"),
+    ],
+    ids=["seed-str", "seed-str-under-seeds", "seed_range-str", "seeds-over-64-bits"],
+)
+@pytest.mark.parametrize("argv", [["run", "--check", "--seed", "5"], ["sweep", "--seeds", "5"]],
+                         ids=["run-seed", "sweep-seeds"])
+def test_a_seed_flag_still_checks_the_scenarios_seed_keys(tmp_path, capsys, over, phrase, argv):
+    verb, *flags = argv
+    assert main([verb, write_scenario(tmp_path, minimal_scenario(**over)), *flags]) == 2
+    assert phrase in capsys.readouterr().err

@@ -31,9 +31,9 @@ def seed_executed(led, initiator, seq, recipient, value):
 def test_pay_snapshots_payment_buffer_into_deps():
     led = ledger(self_id=1)
     seed_executed(led, 3, 1, recipient=1, value=7)
-    tx = led.pay(2, 5)
+    tx = led.pay(2, 5, 1)
     assert tx.initiator == 1 and tx.recipient == 2 and tx.value == 5
-    assert tx.seq == 1 and led.ctr == 2
+    assert tx.seq == 1
     assert tx.deps == frozenset({TxId(3, 1)})
     assert tx.fees == frozenset()
     # the referenced entry is consumed at execution, not at mint time,
@@ -47,22 +47,22 @@ def test_pay_snapshots_payment_buffer_into_deps():
 def test_pay_refuses_below_fee_headroom():
     led = ledger(self_id=1, balance=8)
     with pytest.raises(InsufficientBalance):
-        led.pay(2, 5)  # 8 < 5 + 4*1
+        led.pay(2, 5, 1)  # 8 < 5 + 4*1
 
 
 def test_pay_boundary_is_inclusive():
     led = ledger(self_id=1, balance=9)
-    assert led.pay(2, 5).value == 5  # 9 == 5 + 4*1 is allowed
+    assert led.pay(2, 5, 1).value == 5  # 9 == 5 + 4*1 is allowed
 
 
 def test_pay_rejects_self_and_unknown_recipient():
     led = ledger(self_id=1)
     with pytest.raises(ValueError):
-        led.pay(1, 5)
+        led.pay(1, 5, 1)
     with pytest.raises(ValueError):
-        led.pay(9, 5)
+        led.pay(9, 5, 1)
     with pytest.raises(ValueError):
-        led.pay(2, -1)
+        led.pay(2, -1, 1)
 
 
 def test_pay_with_conversion_references_all_credits():
@@ -70,7 +70,7 @@ def test_pay_with_conversion_references_all_credits():
     for seq in (1, 2, 3):
         seed_executed(led, 2, seq, recipient=3, value=1)
     assert len(led.F[1]) == 3
-    tx = led.pay(2, 0, convert_fees=True)
+    tx = led.pay(2, 0, 1, convert_fees=True)
     assert tx.fees == frozenset({TxId(2, 1), TxId(2, 2), TxId(2, 3)})
     led.on_rrb_deliver(tx)
     assert led.F[1] == {tx.id}  # own execution granted a fresh credit
@@ -80,7 +80,7 @@ def test_pay_with_conversion_references_all_credits():
 def test_pay_without_conversion_leaves_credits():
     led = ledger(self_id=1)
     seed_executed(led, 2, 1, recipient=3, value=1)
-    tx = led.pay(2, 5, convert_fees=False)
+    tx = led.pay(2, 5, 1, convert_fees=False)
     assert tx.fees == frozenset()
     assert TxId(2, 1) in led.F[1]
 

@@ -224,10 +224,10 @@ def test_mint_only_what_can_execute(balance, amount, live, convert, mints):
     stack = L.AgentStack(config.agents[0], config, Thresholds(4, 1), TraceRecorder())
     stack.ledger.B[1] = balance
     stack.ledger.F[1] = {TxId(2, s) for s in range(1, live + 1)}
-    out = stack.behavior.mint(stack, {"to": 2, "amount": amount, "convert_fees": convert})
+    out = stack.behavior.mint(stack, {"to": 2, "amount": amount, "convert_fees": convert}, 1)
     assert (out is not None) == mints
     if mints:
-        assert stack.ledger.fee_covered(1, out[0][1].payload.fees)
+        assert stack.ledger.fee_covered(1, out.fees)
 
 
 def test_a_payload_delivered_on_a_channel_not_its_own_is_evidence_not_executed():
@@ -241,6 +241,62 @@ def test_a_payload_delivered_on_a_channel_not_its_own_is_evidence_not_executed()
     assert [r["kind"] for r in recorder.records] == ["SNAPSHOT", "RRB_DELIVER", "BYZ_EVIDENCE"]
     assert recorder.records[2]["reason"] == "payload-identity-mismatch"
     assert stack.ledger.executed == {} and stack.ledger.exec_buffer == {}
+
+
+def test_a_payload_paying_an_unknown_agent_is_evidence_not_executed():
+    config = make_config()
+    recorder = TraceRecorder()
+    stack = L.AgentStack(config.agents[3], config, Thresholds(4, 1), recorder)
+    stray = Transaction(1, 99, 5, 1)  # no ledger holds an account for agent 99
+    stack.on_message(1, BroadcastMessage(1, MessageKind.INITIAL, 1, stray))
+    for frm in (1, 2, 3):
+        stack.on_message(frm, BroadcastMessage(1, MessageKind.READY, 1, stray))
+    assert [r["kind"] for r in recorder.records] == ["SNAPSHOT", "RRB_DELIVER", "BYZ_EVIDENCE"]
+    assert recorder.records[2]["reason"] == "unknown-recipient"
+    assert stack.ledger.executed == {} and stack.ledger.exec_buffer == {}
+
+
+def equivocator(params=None):
+    config = make_config(overrides={1: (L.StrategyKind.BYZ_EQUIVOCATE, params or {})})
+    return L.AgentStack(config.agents[0], config, Thresholds(4, 1), TraceRecorder())
+
+
+def test_an_equivocator_drops_a_pay_that_finds_its_channel_busy():
+    stack = equivocator()
+    wave = stack.on_action({"type": "pay", "to": 2, "amount": 5})
+    assert [(to, msg.kind, msg.seq) for to, msg in wave] == [
+        (to, MessageKind.INITIAL, 1) for to in (1, 2, 3, 4)]
+    assert stack.on_action({"type": "pay", "to": 3, "amount": 7}) == []
+    assert not stack.pending
+    honest = wave[0][1].payload
+    outputs = []
+    for frm in (2, 3, 4):  # its own seq 1 delivers, freeing the channel
+        outputs += stack.on_message(frm, BroadcastMessage(1, MessageKind.READY, 1, honest))
+    assert stack.channel_free() and stack.channels[1].initiated == 1
+    assert MessageKind.INITIAL not in {msg.kind for _, msg in outputs}
+
+
+@pytest.mark.parametrize("kind", [MessageKind.ECHO, MessageKind.READY])
+def test_an_equivocator_splits_only_its_initial_wave(kind):
+    stack = equivocator({"alt_to": 3, "alt_amount": 6, "alt_targets": [4]})
+    honest = Transaction(1, 2, 5, 1)
+    for channel in (1, 2):
+        outputs = [(to, BroadcastMessage(channel, kind, 1, honest)) for to in (1, 2, 3, 4)]
+        assert stack.behavior.filter_outbound(stack, list(outputs)) == outputs
+    initial = BroadcastMessage(1, MessageKind.INITIAL, 1, honest)
+    split = stack.behavior.filter_outbound(stack, [(to, initial) for to in (1, 2, 3, 4)])
+    assert [msg.payload for _, msg in split] == [honest] * 3 + [Transaction(1, 3, 6, 1)]
+
+
+@pytest.mark.parametrize("kind,params", [(kind, {}) for kind in L.StrategyKind]
+                         + [(L.StrategyKind.BYZ_BAD_DEPS, {"bad_ref": [2, 1]})],
+                         ids=[kind.value for kind in L.StrategyKind] + ["BYZ_BAD_DEPS-bad_ref"])
+def test_mint_returns_the_payload_at_the_seq_it_is_given(kind, params):
+    config = make_config(overrides={1: (kind, params)})
+    stack = L.AgentStack(config.agents[0], config, Thresholds(4, 1), TraceRecorder())
+    tx = stack.behavior.mint(stack, {"type": "pay", "to": 2, "amount": 5}, 3)
+    assert isinstance(tx, Transaction) and tx.id == TxId(1, 3) and tx.recipient == 2
+    assert stack.channels[1].initiated == 0 and stack.channels[1].next_seq == 1
 
 
 # -- utility accounting ----------------------------------------------------------------

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
@@ -33,8 +34,8 @@ EXIT_NONQUIESCENT = 3
 SCENARIO_ERRORS = (OSError, ValueError, OverflowError, ConfigInvalid)
 
 
-FIELD_TYPES = get_type_hints(SimConfig)  # a scalar setting must be exactly its field's type
-SCENARIO_KEYS = frozenset(FIELD_TYPES) | {"seeds", "seed_range"}
+# a scenario's keys are SimConfig's fields; a scalar setting must be exactly its field's type
+FIELD_TYPES = get_type_hints(SimConfig)
 AGENT_KEYS = frozenset(f.name for f in fields(AgentSpec))
 SCRIPT_KEYS = frozenset(f.name for f in fields(ScriptAction))
 VERB_KEYS = {"pay": frozenset({"to", "amount", "convert_fees"}), "backfill": frozenset()}
@@ -96,13 +97,11 @@ def parse_action(raw: dict, where: str) -> dict:
     return action
 
 
-def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
+def build_config(raw: dict) -> SimConfig:
     """The SimConfig a scenario describes, passing SimConfig only the keys it sets."""
-    known_keys(raw, SCENARIO_KEYS, "scenario")
-    seed = scenario_seeds(raw, None)[0]  # checks every seed key, even under an override
-    settings = {"seed": seed if seed_override is None else seed_override}
+    known_keys(raw, FIELD_TYPES.keys(), "scenario")
+    settings = {"agents": []}
     try:
-        settings["agents"] = []
         for k, a in enumerate(array(required(raw, "agents"), "agents")):
             where = f"agents[{k}]"
             known_keys(a, AGENT_KEYS, where)
@@ -132,7 +131,7 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
         for key in ("n", "t"):  # the fields SimConfig gives no default
             required(raw, key)
         for key, value in raw.items():
-            if key in FIELD_TYPES and key not in settings:
+            if key not in settings:
                 check = {int: integer, bool: flag}.get(FIELD_TYPES[key])
                 settings[key] = check(value, key) if check else value  # msg_cost_c: validate()
         config = SimConfig(**settings)
@@ -142,29 +141,19 @@ def build_config(raw: dict, seed_override: int | None = None) -> SimConfig:
     return config
 
 
-def scenario_seeds(raw: dict, flag: str | None) -> Sequence[int]:
-    """The seeds to run, from the first of: the --seeds flag, "seeds",
-    "seed_range" (inclusive), "seed", else SimConfig's default; `run` takes
-    the first. Every seed key the scenario sets is type-checked, even one
-    that a key before it shadows.
-
-    Every seed run must fit in 64 bits. A range stays a `range`, so taking
-    its first seed costs nothing, and checking its two ends checks all of it.
+def parse_seeds(flag: str) -> Sequence[int]:
+    """The seeds `--seeds` names: a list such as 3,5,8, run in ascending order,
+    or an inclusive range such as 1..1000. A range stays a `range`, so each
+    seed is drawn as its run starts, and checking its two ends checks all of
+    it: every seed must fit in 64 bits before the first run.
     """
-    try:  # lowest precedence first, each key present overriding the last
-        seeds = [integer(raw.get("seed", SimConfig.seed), "seed")]
-        if "seed_range" in raw:
-            lo, hi = raw["seed_range"]
-            seeds = range(integer(lo, "seed_range[0]"), integer(hi, "seed_range[1]") + 1)
-        if "seeds" in raw:
-            seeds = [integer(s, f"seeds[{k}]") for k, s in enumerate(raw["seeds"])]
-        if flag:
-            if ".." in flag:
-                lo, hi = flag.split("..")
-                seeds = range(int(lo), int(hi) + 1)
-            else:
-                seeds = [int(s) for s in flag.split(",")]
-    except (TypeError, ValueError, OverflowError) as exc:
+    try:
+        if ".." in flag:
+            lo, hi = flag.split("..")
+            seeds = range(int(lo), int(hi) + 1)
+        else:
+            seeds = sorted(int(s) for s in flag.split(","))
+    except ValueError as exc:
         raise ConfigInvalid(f"bad seeds: {exc}") from None
     if not seeds:
         raise ConfigInvalid("no seeds to run")
@@ -203,8 +192,10 @@ def print_summary(view: TraceView, result, config: SimConfig) -> None:
 
 def cmd_run(args) -> int:
     try:
-        raw = load_scenario(args.scenario)
-        config = build_config(raw, args.seed)
+        config = build_config(load_scenario(args.scenario))
+        if args.seed is not None:
+            check_seed(args.seed)
+            config = replace(config, seed=args.seed)
     except SCENARIO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -247,37 +238,31 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r.status == PASS for r in reports) else EXIT_CHECK_FAILED
 
 
-def _sweep_one(payload) -> tuple[int, bool, list[str]]:
-    raw, seed = payload
-    config = build_config(raw, seed)
+def _sweep_one(config: SimConfig) -> tuple[int, list[str]]:
     result = run(config)
-    reports = run_all_checks(result.records)
-    failures = [r.name for r in reports if r.status != PASS]
+    failures = [r.name for r in run_all_checks(result.records) if r.status != PASS]
     if not result.quiescent:
         failures.append("quiescence")
-    return seed, not failures, failures
+    return config.seed, failures
 
 
 def cmd_sweep(args) -> int:
     try:
-        raw = load_scenario(args.scenario)
-        seeds = scenario_seeds(raw, args.seeds)
-        build_config(raw, seeds[0])  # validate once before forking workers
+        config = build_config(load_scenario(args.scenario))
+        seeds = [config.seed] if args.seeds is None else parse_seeds(args.seeds)
     except SCENARIO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if isinstance(seeds, list):
-        seeds = sorted(seeds)  # a range is already ascending
-    # each seed is drawn as its run starts and only failures are kept, so a
-    # long range costs no memory up front; the seed keys, checked above, are
-    # dropped so that no run re-checks a long seed list
-    bare = {k: v for k, v in raw.items() if k not in ("seed", "seeds", "seed_range")}
-    payloads = ((bare, seed) for seed in seeds)
+    # one validated config, reseeded as each run starts; only failures are
+    # kept, so a long range costs no memory up front
+    configs = (replace(config, seed=seed) for seed in seeds)
     if args.workers > 1:
         import multiprocessing  # here, so that run, check and a serial sweep never load it
     with multiprocessing.Pool(args.workers) if args.workers > 1 else nullcontext() as pool:
-        results = map(_sweep_one, payloads) if pool is None else pool.imap(_sweep_one, payloads)
-        failed = [f"seed {seed}: {', '.join(why)}" for seed, ok, why in results if not ok]
+        results = map(_sweep_one, configs) if pool is None else pool.imap(_sweep_one, configs)
+        failed = [f"seed {seed}: {', '.join(why)} "
+                  f"(ledgersim run {shlex.quote(args.scenario)} --seed {seed} --check)"
+                  for seed, why in results if why]
     print(f"{len(seeds) - len(failed)}/{len(seeds)} PASS")
     for line in failed:
         print(line)

@@ -109,13 +109,14 @@ def _txid(value) -> TxId:
     return TxId(_natural(initiator), _natural(seq))
 
 
-def _param(params: Mapping, key: str, convert, default=None):
-    """params[key] through `convert`; `default` when absent or null.
+def _param(params: dict, key: str, convert, default=None):
+    """params[key] through `convert`; `default` when absent or null. The key
+    is popped, so what is left once the behavior is built was never read.
 
     Raises ValueError naming the key, so a scenario's bad params fail when
     the behavior is built, not mid-run.
     """
-    value = params.get(key)
+    value = params.pop(key, None)
     if value is None:
         return default
     try:
@@ -127,7 +128,7 @@ def _param(params: Mapping, key: str, convert, default=None):
 class CompliantBehavior:
     """Follows the protocol exactly; every other behavior derives from it."""
 
-    def __init__(self, params: Mapping):
+    def __init__(self, params: dict):
         """Convert the params the behavior reads; this one reads none."""
 
     # hooks the deviations override
@@ -323,6 +324,10 @@ _BEHAVIORS = {
 
 
 def make_behavior(spec: AgentSpec) -> CompliantBehavior:
-    """The behavior of `spec`; ValueError naming the param if one is bad."""
-    return _BEHAVIORS[spec.kind](spec.params)
+    """The behavior of `spec`; ValueError naming the param if one is bad or unknown."""
+    params = dict(spec.params)  # each param the behavior reads is popped
+    behavior = _BEHAVIORS[spec.kind](params)
+    if params:
+        raise ValueError(f"unknown params: {', '.join(sorted(params))}")
+    return behavior
 

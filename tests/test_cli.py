@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections.abc import Sequence
@@ -12,6 +14,7 @@ from ledgersim.checker import FAIL, CheckReport, TraceView
 from ledgersim.cli import build_config, main
 from ledgersim.netsim import SimConfig, run
 from ledgersim.strategy import AgentSpec, StrategyKind
+from ledgersim.trace import write_trace
 from ledgersim.transaction import Transaction
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -419,11 +422,14 @@ def with_agent(kind, params):
         ("BYZ_BAD_DEPS", {"bad_ref": [1, True]}, "bad_ref=[1, True]: must be an integer"),
         ("BYZ_BAD_DEPS", {"bad_ref": [1]}, "bad_ref=[1]: not enough values"),
         ("BYZ_BAD_DEPS", {"bad_ref": 7}, "bad_ref=7: cannot unpack"),
+        # a misspelt param is no default: the free-rider would withhold nothing
+        ("RATIONAL_FREERIDER", {"channel": [1]}, "unknown params: channel"),
+        ("COMPLIANT", {"anything": 1}, "unknown params: anything"),
     ],
     ids=["channels-int", "channels-str-item", "channels-float-item", "channels-numeric-str-item",
          "channels-bool-item", "seqs-str", "seqs-float-item", "alt_to-str", "alt_amount-neg",
          "alt_targets-int", "extra-list", "extra-str", "extra-float", "bad_ref-bool-item",
-         "bad_ref-short", "bad_ref-int"],
+         "bad_ref-short", "bad_ref-int", "freerider-channel-typo", "compliant-unknown-param"],
 )
 def test_malformed_behavior_param_exits_two(tmp_path, capsys, kind, params, phrase):
     path = write_scenario(tmp_path, minimal_scenario(**with_agent(kind, params)))
@@ -522,10 +528,11 @@ def minimal_without(*path):
                                   for i in range(1, 5)]),
          "params must be an object"),
         (minimal_scenario(d_max=float("inf")), "d_max must be an integer, got inf"),
-        (minimal_scenario(seed_range=[3]), "bad seeds: not enough values to unpack"),
-        (minimal_scenario(seed_range=[1, 2, 3]), "bad seeds: too many values to unpack"),
-        (minimal_scenario(seed_range=[5, 1]), "no seeds to run"),
-        (minimal_scenario(seeds=5), "bad seeds: 'int' object is not iterable"),
+        # `seeds` and `seed_range` are unknown keys, whatever their value
+        (minimal_scenario(seed_range=[3]), "unknown scenario keys: seed_range"),
+        (minimal_scenario(seed_range=[1, 2, 3]), "unknown scenario keys: seed_range"),
+        (minimal_scenario(seed_range=[5, 1]), "unknown scenario keys: seed_range"),
+        (minimal_scenario(seeds=5), "unknown scenario keys: seeds"),
         (minimal_scenario(n="4"), "n must be an integer, got '4'"),
         (minimal_scenario(t=True), "t must be an integer, got True"),
         (minimal_scenario(epsilon=1.5), "epsilon must be an integer, got 1.5"),
@@ -535,8 +542,8 @@ def minimal_without(*path):
         (minimal_scenario(d_max=3.5), "d_max must be an integer, got 3.5"),
         (minimal_scenario(max_steps=1e6), "max_steps must be an integer, got 1000000.0"),
         (minimal_scenario(seed="3"), "seed must be an integer, got '3'"),
-        (minimal_scenario(seeds=[4, 9.5]), "seeds[1] must be an integer, got 9.5"),
-        (minimal_scenario(seed_range=[1, 2.5]), "seed_range[1] must be an integer, got 2.5"),
+        (minimal_scenario(seeds=[4, 9.5]), "unknown scenario keys: seeds"),
+        (minimal_scenario(seed_range=[1, 2.5]), "unknown scenario keys: seed_range"),
         (minimal_scenario(agents=[{"id": i if i < 4 else "4", "kind": "COMPLIANT"}
                                   for i in range(1, 5)]),
          "agents[3].id must be an integer, got '4'"),
@@ -598,9 +605,9 @@ def minimal_without(*path):
         (minimal_scenario(agents=5), "agents must be a list, got 5"),
         (minimal_scenario(script=5), "script must be a list, got 5"),
         (minimal_scenario(script=act({})), "script[0].action must name exactly one verb, got []"),
-        # a seed key shadowed by one of higher precedence is still checked
-        (minimal_scenario(seeds=[1], seed="3"), "seed must be an integer, got '3'"),
-        (minimal_scenario(seeds=[1], seed_range="x"), "bad seeds: not enough values to unpack"),
+        # a scenario names one seed; which others to run is said by --seeds
+        (minimal_scenario(seeds=[1], seed="3"), "unknown scenario keys: seeds"),
+        (minimal_scenario(seeds=[1], seed_range="x"), "unknown scenario keys: seed_range, seeds"),
         (minimal_scenario(d_min=5, d_max=3), "d_min must not exceed d_max"),
         (minimal_scenario(n=0, t=0, agents=[], script=[]), "n must be positive"),
         (minimal_scenario(script=[dict(pay_to(2)[0], tick=-1)]),
@@ -671,26 +678,19 @@ def test_scenario_that_is_not_utf8_exits_two_with_a_message(tmp_path, capsys, ve
 
 
 def test_empty_seed_list_exits_two(tmp_path, capsys):
-    body = minimal_scenario(seeds=[])
-    del body["seed"]
-    path = write_scenario(tmp_path, body)
-    assert main(["run", path]) == 2
+    path = write_scenario(tmp_path, minimal_scenario())
+    assert main(["sweep", path, "--seeds", "5..1"]) == 2
     assert "no seeds to run" in capsys.readouterr().err
-    assert main(["sweep", path]) == 2
-    assert "no seeds to run" in capsys.readouterr().err
-    assert main(["sweep", write_scenario(tmp_path, minimal_scenario(), "b.json"),
-                 "--seeds", "5..1"]) == 2
-    assert "no seeds to run" in capsys.readouterr().err
+    assert main(["sweep", path, "--seeds", ""]) == 2  # an empty flag is no default
+    assert "bad seeds: invalid literal for int()" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
 def test_infinite_seed_exits_two_with_a_message(tmp_path, capsys, verb):
-    body = minimal_scenario(seeds=[float("inf")])
-    del body["seed"]
-    path = write_scenario(tmp_path, body)
+    path = write_scenario(tmp_path, minimal_scenario(seed=float("inf")))
     assert "Infinity" in Path(path).read_text()
     assert main([verb, path]) == 2
-    assert "seeds[0] must be an integer, got inf" in capsys.readouterr().err
+    assert "seed must be an integer, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -742,58 +742,90 @@ def test_sweep_draws_each_seed_as_its_run_starts(tmp_path, capsys, monkeypatch):
         runs.append(config.seed)
         return run(config)
 
-    monkeypatch.setattr("ledgersim.cli.scenario_seeds", lambda raw, flag: LazySeeds())
+    monkeypatch.setattr("ledgersim.cli.parse_seeds", lambda flag: LazySeeds())
     monkeypatch.setattr("ledgersim.cli.run", counted_run)
-    assert main(["sweep", write_scenario(tmp_path, minimal_scenario())]) == 0
+    assert main(["sweep", write_scenario(tmp_path, minimal_scenario()), "--seeds", "1..5"]) == 0
     assert capsys.readouterr().out == "5/5 PASS\n"
     assert runs == [1, 2, 3, 4, 5]
 
 
+def test_sweep_without_seeds_runs_the_scenarios_seed(tmp_path, capsys, monkeypatch):
+    runs = []
+
+    def counted_run(config):
+        runs.append(config.seed)
+        return run(config)
+
+    monkeypatch.setattr("ledgersim.cli.run", counted_run)
+    assert main(["sweep", write_scenario(tmp_path, minimal_scenario(seed=7))]) == 0
+    assert capsys.readouterr().out == "1/1 PASS\n"
+    assert runs == [7]
+
+
+def test_run_seed_beyond_64_bits_exits_two(capsys):
+    assert main(["run", str(SCENARIOS / "allgood.json"), "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err == "error: seed 18446744073709551616 must fit in 64 bits\n"
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_lists_failing_seeds_in_ascending_order(tmp_path, capsys, workers):
-    path = write_scenario(tmp_path, minimal_scenario(seeds=[9, 3, 5, 3], max_steps=4))
-    assert main(["sweep", path, "--workers", workers]) == 1
+    path = write_scenario(tmp_path, minimal_scenario(max_steps=4), "short run.json")
+    assert main(["sweep", path, "--seeds", "9,3,5,3", "--workers", workers]) == 1
     failures = "validity, agreement, quiescence"  # UNKNOWN counts as a failure
-    assert capsys.readouterr().out == "0/4 PASS\n" + "".join(
-        f"seed {seed}: {failures}\n" for seed in (3, 3, 5, 9)
-    )
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["0/4 PASS"] + [
+        f"seed {seed}: {failures} (ledgersim run {shlex.quote(path)} --seed {seed} --check)"
+        for seed in (3, 3, 5, 9)
+    ]
+    # each line ends with the command that reproduces its failure
+    assert main(shlex.split(lines[-1].partition("(")[2].rstrip(")"))[1:]) == 3
 
 
-def test_sweep_seed_list_from_file(tmp_path, capsys):
-    # "seeds" outranks the "seed": 3 that minimal_scenario also sets
-    path = write_scenario(tmp_path, minimal_scenario(seeds=[4, 9]))
-    code = main(["sweep", path])
-    assert code == 0
-    assert "2/2 PASS" in capsys.readouterr().out
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_a_sweep_seed_fails_exactly_when_run_with_that_seed_fails(capsys, name):
+    path = str(SCENARIOS / name)
+    main(["sweep", path, "--seeds", "1..3"])
+    listed = {int(line.split(":")[0].split()[1])
+              for line in capsys.readouterr().out.splitlines()[1:]}
+    failing = {seed for seed in (1, 2, 3)
+               if main(["run", path, "--seed", str(seed), "--check"]) != 0}
+    capsys.readouterr()
+    assert listed == failing
 
 
-def test_run_takes_the_first_sweep_seed(tmp_path):
-    path = write_scenario(tmp_path, minimal_scenario(seeds=[4, 9]))
-    traces = {}
-    for name, extra in (("file", []), ("4", ["--seed", "4"]), ("3", ["--seed", "3"])):
-        out = tmp_path / f"{name}.jsonl"
-        assert main(["run", path, "--trace", str(out)] + extra) == 0
-        traces[name] = out.read_text()
-    assert traces["file"] == traces["4"] != traces["3"]
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_one_config_run_twice_gives_the_same_trace(name):
+    # a sweep reseeds one config, so its runs share the scenario's agents and script
+    config = build_config(json.loads((SCENARIOS / name).read_text()))
+    traces = []
+    for _ in range(2):
+        out = io.StringIO()
+        write_trace(run(config).records, out)
+        traces.append(out.getvalue())
+    assert traces[0] == traces[1]
 
 
 def test_run_seed_override_changes_trace(tmp_path):
     path = write_scenario(tmp_path, minimal_scenario())
-    t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    seeded = write_scenario(tmp_path, minimal_scenario(seed=99), "seeded.json")
+    t1, t2, t3 = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "c.jsonl"
     main(["run", path, "--trace", str(t1)])
     main(["run", path, "--trace", str(t2), "--seed", "99"])
-    assert t1.read_text() != t2.read_text()
+    main(["run", seeded, "--trace", str(t3)])
+    assert t1.read_text() != t2.read_text() == t3.read_text()
 
 
 @pytest.mark.parametrize(
     "over,phrase",
     [
         ({"seed": "3"}, "seed must be an integer, got '3'"),
-        ({"seeds": [1], "seed": "3"}, "seed must be an integer, got '3'"),
-        ({"seed_range": "x"}, "bad seeds: not enough values to unpack"),
-        ({"seeds": [2**64]}, "seed 18446744073709551616 must fit in 64 bits"),
+        ({"seed": 2**64}, "seed 18446744073709551616 must fit in 64 bits"),
+        ({"seeds": [1], "seed": "3"}, "unknown scenario keys: seeds"),
+        ({"seed_range": "x"}, "unknown scenario keys: seed_range"),
+        ({"seeds": [2**64]}, "unknown scenario keys: seeds"),
     ],
-    ids=["seed-str", "seed-str-under-seeds", "seed_range-str", "seeds-over-64-bits"],
+    ids=["seed-str", "seed-over-64-bits", "seed-str-under-seeds", "seed_range-str",
+         "seeds-over-64-bits"],
 )
 @pytest.mark.parametrize("argv", [["run", "--check", "--seed", "5"], ["sweep", "--seeds", "5"]],
                          ids=["run-seed", "sweep-seeds"])

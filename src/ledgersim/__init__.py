@@ -29,13 +29,7 @@ from .checker import (
     utility,
     utility_breakdown,
 )
-from .ledger import (
-    AlreadyExecuted,
-    ConditionsNotMet,
-    ExecutionReport,
-    InsufficientBalance,
-    LedgerState,
-)
+from .ledger import ExecutionReport, LedgerState
 from .netsim import ConfigInvalid, RunResult, ScriptAction, SimConfig, Simulator, run
 from .strategy import AgentSpec, AgentStack, StrategyKind
 from .transaction import AgentId, Money, Transaction, TxId
@@ -44,15 +38,12 @@ __all__ = [
     "AgentId",
     "AgentSpec",
     "AgentStack",
-    "AlreadyExecuted",
     "BroadcastMessage",
     "ChannelState",
     "CheckReport",
-    "ConditionsNotMet",
     "ConfigInvalid",
     "CyclicDependency",
     "ExecutionReport",
-    "InsufficientBalance",
     "LedgerState",
     "MessageKind",
     "MissingTx",

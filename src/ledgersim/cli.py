@@ -200,14 +200,13 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        trace_fp = open(args.trace, "w") if args.trace else nullcontext()
-    except OSError as exc:
+        with open(args.trace, "w") if args.trace else nullcontext() as trace_fp:
+            result = run(config)
+            if args.trace:
+                write_trace(result.records, trace_fp)
+    except OSError as exc:  # opening, a write, or the flush on close
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with trace_fp:
-        result = run(config)
-        if args.trace:
-            write_trace(result.records, trace_fp)
     code = EXIT_OK
     # one fold of the records serves both the checks and the summary
     view = TraceView(result.records) if args.check or args.summary else None
@@ -248,6 +247,8 @@ def _sweep_one(config: SimConfig) -> tuple[int, list[str]]:
 
 def cmd_sweep(args) -> int:
     try:
+        if args.workers < 1:
+            raise ConfigInvalid(f"--workers must be at least 1, got {args.workers}")
         config = build_config(load_scenario(args.scenario))
         seeds = [config.seed] if args.seeds is None else parse_seeds(args.seeds)
     except SCENARIO_ERRORS as exc:

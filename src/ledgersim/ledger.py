@@ -19,22 +19,6 @@ from .trace import tx_fields, txid_field
 from .transaction import AgentId, Money, Transaction, TxId
 
 
-class LedgerError(Exception):
-    pass
-
-
-class InsufficientBalance(LedgerError):
-    pass
-
-
-class AlreadyExecuted(LedgerError):
-    pass
-
-
-class ConditionsNotMet(LedgerError):
-    pass
-
-
 @dataclass(frozen=True)
 class ExecutionReport:
     """Outcome of executing one transaction on one agent's ledger."""
@@ -75,27 +59,25 @@ class LedgerState:
 
     # -- initiating ---------------------------------------------------------
 
-    def pay(self, recipient: AgentId, amount: Money, seq: int, convert_fees=False) -> Transaction:
-        """Mint the outgoing transaction `seq`; the caller broadcasts it.
+    def pay(self, recipient: AgentId, amount: Money, seq: int,
+            convert_fees: bool = False) -> Transaction | None:
+        """The transaction `seq` paying `amount`, or None where it would not commit.
 
-        The referenced payment/fee buffers are consumed when the transaction
-        executes (the intersections in execute), not here: consuming them
-        at mint time would skip the credits on this agent's own execution and
-        leave its balance view below every peer's.
+        It references every payment in Q and, with `convert_fees`, every fee
+        credit in F; the funds are the balance plus their value. A payload
+        whose fee-cover check fails would stall the channel. The prediction is
+        exact: the previous own transaction has executed, so until this one
+        executes B stays put and Q and F keep every id it references. execute
+        consumes them then; consuming them here would skip its own credits.
         """
         me = self.self_id
-        if recipient == me:
-            raise ValueError("self-payments are rejected")
-        if recipient not in self.B:
-            raise ValueError(f"unknown recipient {recipient}")
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if self.B[me] < amount + self.n * self.epsilon:
-            raise InsufficientBalance(
-                f"balance {self.B[me]} < {amount} + {self.n}*{self.epsilon}"
-            )
+        deps = frozenset(self.Q[me])
         fees = frozenset(self.F[me]) if convert_fees else frozenset()
-        return Transaction(me, recipient, amount, seq, frozenset(self.Q[me]), fees)
+        funds = (self.B[me] + sum(self.executed[t].tx.value for t in deps)
+                 + len(fees) * self.epsilon)
+        if funds < amount + self.n * self.epsilon or not self.fee_covered(me, fees):
+            return None
+        return Transaction(me, recipient, amount, seq, deps, fees)
 
     # -- execution ----------------------------------------------------------
 
@@ -126,10 +108,7 @@ class LedgerState:
         return live >= (self.n + 1 if self.condition3_strict else self.n)
 
     def execute(self, tx: Transaction) -> ExecutionReport:
-        if tx.id in self.executed:
-            raise AlreadyExecuted(tx.id)
-        if not self.conditions_met(tx):
-            raise ConditionsNotMet(tx.id)
+        """Apply `tx`, which has just passed conditions_met."""
         init = tx.initiator
         credited = tx.deps & self.Q[init]  # payments to init that no execution credited yet
         self.Q[init] -= credited

@@ -105,7 +105,7 @@ class SimConfig:
                     fail(f"agent {item.agent} pays itself")
                 if amount < 0:
                     fail(f"agent {item.agent} pays a negative amount {amount}")
-                if amount >= 2**64:
+                if amount > WIRE_MAX:
                     fail(f"agent {item.agent} pays {amount}, beyond the 64-bit wire field")
         try:
             as_fraction(self.msg_cost_c)

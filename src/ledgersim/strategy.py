@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping
 
 from .broadcast import BroadcastMessage, ChannelState, MessageKind, Thresholds
-from .ledger import InsufficientBalance, LedgerState
+from .ledger import LedgerState
 from .trace import TraceRecorder, txid_field
 from .transaction import WIRE_MAX, AgentId, Transaction, TxId
 
@@ -140,16 +140,8 @@ class CompliantBehavior:
 
     def mint(self, stack: AgentStack, action: dict, seq: int) -> Transaction | None:
         """The payload to send as `seq` for a pay action, or None to drop it."""
-        ledger = stack.ledger
-        convert = bool(action.get("convert_fees", False))
-        # never mint a transaction whose fee-cover check can never pass: it
-        # would stall the channel
-        if not ledger.fee_covered(stack.id, ledger.F[stack.id] if convert else ()):
-            return None
-        try:
-            return ledger.pay(action["to"], int(action["amount"]), seq, convert)
-        except InsufficientBalance:
-            return None
+        return stack.ledger.pay(action["to"], action["amount"], seq,
+                                action.get("convert_fees", False))
 
     def on_action(self, stack: AgentStack, action: dict) -> list:
         outputs: list = []
@@ -210,7 +202,7 @@ class EquivocateBehavior(CompliantBehavior):
         return super().on_action(stack, action) if stack.channel_free() else []
 
     def mint(self, stack, action, seq):
-        return Transaction(stack.id, int(action["to"]), int(action["amount"]), seq)
+        return Transaction(stack.id, action["to"], action["amount"], seq)
 
     def filter_outbound(self, stack, outputs):
         """Swap the second payload into the own INITIAL wave for alt_targets."""
@@ -245,7 +237,7 @@ class OverdraftBehavior(CompliantBehavior):
 
     def mint(self, stack, action, seq):
         value = min(stack.ledger.B[stack.id] + self.extra, WIRE_MAX)
-        return Transaction(stack.id, int(action["to"]), value, seq)
+        return Transaction(stack.id, action["to"], value, seq)
 
 
 class BadDepsBehavior(CompliantBehavior):
@@ -267,7 +259,7 @@ class BadDepsBehavior(CompliantBehavior):
         if bad_ref is None:
             return super().mint(stack, action, seq)
         deps = frozenset({bad_ref})
-        return Transaction(stack.id, int(action["to"]), int(action["amount"]), seq, deps=deps)
+        return Transaction(stack.id, action["to"], action["amount"], seq, deps=deps)
 
 
 class FreeriderBehavior(CompliantBehavior):

@@ -111,6 +111,13 @@ def test_unwritable_trace_path_exits_two_before_simulating(tmp_path, capsys, mon
     assert "error: cannot write trace: " in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_trace_that_cannot_be_written_in_full_exits_two(capsys):
+    assert main(["run", str(SCENARIOS / "allgood.json"), "--trace", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write trace: ") and "No space left on device" in err
+
+
 def test_nonquiescent_exits_three(tmp_path, capsys):
     path = write_scenario(tmp_path, minimal_scenario(max_steps=4))
     code = main(["run", path])
@@ -683,6 +690,15 @@ def test_empty_seed_list_exits_two(tmp_path, capsys):
     assert "no seeds to run" in capsys.readouterr().err
     assert main(["sweep", path, "--seeds", ""]) == 2  # an empty flag is no default
     assert "bad seeds: invalid literal for int()" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_workers_below_one_exits_two(tmp_path, capsys, workers):
+    path = write_scenario(tmp_path, minimal_scenario())
+    assert main(["sweep", path, "--seeds", "1..2", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])

@@ -4,12 +4,7 @@ import pytest
 
 import ledgersim as L
 from helpers import make_config, random_payment_script
-from ledgersim.ledger import (
-    AlreadyExecuted,
-    ConditionsNotMet,
-    InsufficientBalance,
-    LedgerState,
-)
+from ledgersim.ledger import LedgerState
 from ledgersim.transaction import Transaction, TxId
 
 
@@ -46,23 +41,12 @@ def test_pay_snapshots_payment_buffer_into_deps():
 
 def test_pay_refuses_below_fee_headroom():
     led = ledger(self_id=1, balance=8)
-    with pytest.raises(InsufficientBalance):
-        led.pay(2, 5, 1)  # 8 < 5 + 4*1
+    assert led.pay(2, 5, 1) is None  # 8 < 5 + 4*1
 
 
 def test_pay_boundary_is_inclusive():
     led = ledger(self_id=1, balance=9)
     assert led.pay(2, 5, 1).value == 5  # 9 == 5 + 4*1 is allowed
-
-
-def test_pay_rejects_self_and_unknown_recipient():
-    led = ledger(self_id=1)
-    with pytest.raises(ValueError):
-        led.pay(1, 5, 1)
-    with pytest.raises(ValueError):
-        led.pay(9, 5, 1)
-    with pytest.raises(ValueError):
-        led.pay(2, -1, 1)
 
 
 def test_pay_with_conversion_references_all_credits():
@@ -190,14 +174,13 @@ def test_commit_zero_value_moves_only_the_reference():
     assert TxId(3, 1) in led.Q[2]
 
 
-def test_execute_rejects_repeat_and_ungated():
+def test_a_second_delivery_of_an_executed_transaction_executes_nothing():
     led = ledger()
     tx = Transaction(3, 2, 1, 1)
-    led.on_rrb_deliver(tx)
-    with pytest.raises(AlreadyExecuted):
-        led.execute(tx)
-    with pytest.raises(ConditionsNotMet):
-        led.execute(Transaction(3, 2, 1, 5))
+    assert len(led.on_rrb_deliver(tx)) == 1
+    balances, seqs = dict(led.B), dict(led.S)
+    assert led.on_rrb_deliver(tx) == []
+    assert led.B == balances and led.S == seqs
 
 
 def test_fee_credit_granted_even_to_initiator_of_bad_tx():

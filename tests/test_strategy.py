@@ -211,23 +211,71 @@ def test_lazy_agent_never_uses_its_incoming_payment():
 # -- minting ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("balance,amount,live,convert,mints", [
-    (10, 6, 0, False, True),
-    (10, 7, 0, False, False),  # the balance guard: 7 + n*epsilon > 10
-    (4, 0, 0, False, False),  # balance n*epsilon, and no fee credits: stalls
-    (4, 0, 4, False, False),  # credits it does not convert do not count
-    (4, 0, 4, True, True),  # n live credits cover the fee
-    (4, 0, 3, True, False),
-])
-def test_mint_only_what_can_execute(balance, amount, live, convert, mints):
+MINT_ROWS = [  # balance, amount, live credits, convert, mints, value of an incoming payment
+    (10, 6, 0, False, True, 0),
+    (10, 7, 0, False, False, 0),  # the balance guard: 7 + n*epsilon > 10
+    (4, 0, 0, False, False, 0),  # balance n*epsilon, and no fee credits: stalls
+    (4, 0, 4, False, False, 0),  # credits it does not convert do not count
+    (4, 0, 4, True, True, 0),  # n live credits cover the fee
+    (4, 0, 3, True, False, 0),
+    # the pay references the incoming payment, and its execution credits it
+    (10, 7, 0, False, True, 1),
+    (5, 50, 0, False, True, 49),  # 5 + 49 == 50 + n*epsilon
+    (5, 50, 0, False, False, 48),
+    (4, 0, 0, False, False, 50),  # received money does not pay the fee: stalls
+    (4, 50, 4, True, True, 46),  # 4 + 46 + 4 converted credits == 50 + n*epsilon
+    (4, 50, 4, True, False, 45),
+]
+
+
+@pytest.mark.parametrize("balance,amount,live,convert,mints,incoming", MINT_ROWS,
+                         ids=["-".join(map(str, row[:5])) + (f"-in{row[5]}" if row[5] else "")
+                              for row in MINT_ROWS])
+def test_mint_only_what_can_execute(balance, amount, live, convert, mints, incoming):
     config = make_config()
     stack = L.AgentStack(config.agents[0], config, Thresholds(4, 1), TraceRecorder())
-    stack.ledger.B[1] = balance
-    stack.ledger.F[1] = {TxId(2, s) for s in range(1, live + 1)}
+    ledger = stack.ledger
+    for seq in range(1, live + 1):
+        ledger.on_rrb_deliver(Transaction(2, 3, 0, seq))  # each grants every agent a fee credit
+    if incoming:
+        ledger.on_rrb_deliver(Transaction(3, 1, incoming, 1))
+    ledger.B[1] = balance
+    ledger.F[1] = {TxId(2, seq) for seq in range(1, live + 1)}
     out = stack.behavior.mint(stack, {"to": 2, "amount": amount, "convert_fees": convert}, 1)
     assert (out is not None) == mints
-    if mints:
-        assert stack.ledger.fee_covered(1, out.fees)
+    if mints:  # it executes at once, and commits
+        [report] = ledger.on_rrb_deliver(out)
+        assert report.verdict == "committed" and report.dep_credit == incoming
+        assert len(report.converted) == (live if convert else 0)
+
+
+def run_all_passing(script):
+    """The records of a run of `script` on four compliant agents holding 100 each,
+    after asserting that all nine oracles PASS on them."""
+    records = run_records(make_config(initial_balance=100, seed=5, script=script))
+    reports = L.run_all_checks(records)
+    assert len(reports) == 9 and all(r.status == "PASS" for r in reports), reports
+    return records
+
+
+def test_a_pay_is_funded_by_the_payment_it_references():
+    # agent 1 pays down to 6, below 10 + n*epsilon, then receives 20
+    records = run_all_passing([pay(0, 1, 2, 90), pay(50, 3, 1, 20), pay(100, 1, 2, 10)])
+    own = kinds_of(records, kind="EXECUTE", agent=1, txid=[1, 2])
+    assert own and own[0]["verdict"] == "committed" and own[0]["dep_credit"] == 20
+    assert kinds_of(records, kind="SNAPSHOT", agent=1)[-1]["B"][0] == 6 + 20 - 10 - 4
+
+
+def test_a_pay_at_the_fee_floor_is_funded_by_converted_credits():
+    # agent 1 ends at exactly n*epsilon, then receives 10 and four fee credits
+    # (its own, agent 3's, agent 2's and agent 4's executions)
+    script = [pay(0, 1, 2, 92), pay(50, 3, 1, 10), pay(60, 2, 3, 3), pay(70, 4, 3, 3),
+              pay(150, 1, 2, 5, convert_fees=True)]
+    records = run_all_passing(script)
+    own = kinds_of(records, kind="EXECUTE", agent=1, txid=[1, 2])
+    assert own and own[0]["verdict"] == "committed"
+    assert own[0]["dep_credit"] == 10 and len(own[0]["converted"]) == 4
+    assert kinds_of(records, kind="SNAPSHOT", agent=1)[-1]["B"][0] == 4 + 10 + 4 - 5 - 4
 
 
 def test_a_payload_delivered_on_a_channel_not_its_own_is_evidence_not_executed():
